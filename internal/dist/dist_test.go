@@ -28,6 +28,176 @@ func TestNewSampleErrors(t *testing.T) {
 	}
 }
 
+// TestNewSampleFoldsNegativeZero pins -0 and +0 as one value: counted
+// apart, the cumulative counts would exceed N.
+func TestNewSampleFoldsNegativeZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	s := mustSample(t, []float64{0, negZero, negZero, 0.5})
+	if got := s.Values(); len(got) != 2 || math.Float64bits(got[0]) != 0 || got[1] != 0.5 {
+		t.Fatalf("values = %v, want [0 0.5] with +0", got)
+	}
+	if len(s.cum) != 2 || s.cum[0] != 3 || s.cum[1] != 4 {
+		t.Fatalf("cum = %v, want [3 4]", s.cum)
+	}
+	if s.N() != 4 {
+		t.Fatalf("N = %d, want 4", s.N())
+	}
+}
+
+// referenceSample is the naive construction NewSampleFromChunks must
+// reproduce bit for bit: concatenate, sort the raw multiset, run-length
+// count, and accumulate the sum over the distinct values in ascending
+// order.
+func referenceSample(chunks [][]float64) (values []float64, cum []int64, n int, mean float64) {
+	var raw []float64
+	for _, ch := range chunks {
+		raw = append(raw, ch...)
+	}
+	sort.Float64s(raw)
+	var sum float64
+	for i := 0; i < len(raw); {
+		j := i
+		for j < len(raw) && raw[j] == raw[i] {
+			j++
+		}
+		v := raw[i]
+		if v == 0 {
+			v = 0 // fold -0
+		}
+		values = append(values, v)
+		cum = append(cum, int64(j))
+		sum += v * float64(j-i)
+		i = j
+	}
+	return values, cum, len(raw), sum / float64(len(raw))
+}
+
+// splitChunks cuts values into uneven chunks, the way the engine's
+// workers hand them over.
+func splitChunks(rng *rand.Rand, values []float64, parts int) [][]float64 {
+	var chunks [][]float64
+	for len(values) > 0 && parts > 1 {
+		k := rng.Intn(2*len(values)/parts + 1)
+		chunks = append(chunks, values[:k])
+		values = values[k:]
+		parts--
+	}
+	return append(chunks, values)
+}
+
+func TestNewSampleFromChunksMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	// High-distinct: 120k values, 100k of them distinct, like a fine
+	// period; the table grows from 1,024 slots several times over.
+	high := make([]float64, 0, 120_000)
+	for i := 0; i < 100_000; i++ {
+		high = append(high, rng.Float64())
+	}
+	for i := 0; i < 20_000; i++ {
+		high = append(high, high[rng.Intn(100_000)])
+	}
+	rng.Shuffle(len(high), func(i, j int) { high[i], high[j] = high[j], high[i] })
+	// Low-distinct: hops/duration ratios with small denominators.
+	low := make([]float64, 200_000)
+	for i := range low {
+		d := 1 + rng.Intn(40)
+		low[i] = float64(rng.Intn(d+1)) / float64(d)
+	}
+	// Mixed signs and magnitudes, both zeros, subnormals.
+	mixed := []float64{0, math.Copysign(0, -1), -1, 1, -0.5, 0.5, math.SmallestNonzeroFloat64,
+		-math.SmallestNonzeroFloat64, 1e300, -1e300, 1e-300, -1e-300}
+	for i := 0; i < 5_000; i++ {
+		mixed = append(mixed, mixed[rng.Intn(12)], rng.NormFloat64()*1e3)
+	}
+
+	for _, tc := range []struct {
+		name   string
+		values []float64
+		parts  int
+	}{
+		{"high-distinct", high, 7},
+		{"low-distinct", low, 5},
+		{"mixed-signs", mixed, 3},
+		{"single", []float64{0.25}, 1},
+	} {
+		chunks := splitChunks(rng, tc.values, tc.parts)
+		s, err := NewSampleFromChunks(len(tc.values), chunks)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		values, cum, n, mean := referenceSample(chunks)
+		if tc.name == "high-distinct" && 5*len(values) < 4*n {
+			t.Fatalf("high-distinct input has only %d distinct of %d values", len(values), n)
+		}
+		if got := s.Values(); len(got) != len(values) {
+			t.Fatalf("%s: %d distinct values, reference %d", tc.name, len(got), len(values))
+		}
+		for i, v := range values {
+			if math.Float64bits(s.values[i]) != math.Float64bits(v) || s.cum[i] != cum[i] {
+				t.Fatalf("%s: entry %d = (%v, %d), reference (%v, %d)", tc.name, i, s.values[i], s.cum[i], v, cum[i])
+			}
+		}
+		if s.N() != n {
+			t.Fatalf("%s: N = %d, reference %d", tc.name, s.N(), n)
+		}
+		if math.Float64bits(s.Mean()) != math.Float64bits(mean) {
+			t.Fatalf("%s: mean = %v, reference %v", tc.name, s.Mean(), mean)
+		}
+	}
+
+	// A non-finite value in a later chunk is still rejected.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		chunks := [][]float64{high[:1000], {0.5, bad, 0.25}}
+		if _, err := NewSampleFromChunks(1003, chunks); err == nil {
+			t.Fatalf("%v in a later chunk was accepted", bad)
+		}
+	}
+}
+
+// sampleSink keeps benchmarked samples alive.
+var sampleSink *Sample
+
+// BenchmarkNewSampleFromChunks times exact-sample construction on the
+// two population shapes of an occupancy scale search: a fine period
+// (≈207k values, 174k distinct) and a coarse one (≈538k values, 24k
+// distinct), each in the engine's 64Ki-value chunks.
+func BenchmarkNewSampleFromChunks(b *testing.B) {
+	for _, shape := range []struct {
+		name            string
+		total, distinct int
+	}{
+		{"fine", 207_119, 174_145},
+		{"coarse", 538_000, 24_000},
+	} {
+		rng := rand.New(rand.NewSource(1))
+		support := make([]float64, shape.distinct)
+		for i := range support {
+			support[i] = rng.Float64()
+		}
+		values := append([]float64(nil), support...)
+		for len(values) < shape.total {
+			values = append(values, support[rng.Intn(len(support))])
+		}
+		rng.Shuffle(len(values), func(i, j int) { values[i], values[j] = values[j], values[i] })
+		var chunks [][]float64
+		for rest := values; len(rest) > 0; {
+			k := min(len(rest), 1<<16)
+			chunks = append(chunks, rest[:k])
+			rest = rest[k:]
+		}
+		b.Run(shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s, err := NewSampleFromChunks(len(values), chunks)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sampleSink = s
+			}
+		})
+	}
+}
+
 func TestSampleWeightedBasics(t *testing.T) {
 	// 4x 0.25, 2x 0.5, 1x 1.0 — stored as 3 distinct values.
 	s := mustSample(t, []float64{0.25, 0.5, 0.25, 1, 0.25, 0.5, 0.25})

@@ -382,6 +382,11 @@ type Queue struct {
 	admitted int                      // unfinished runs, all tenants
 	stats    QueueStats
 	seq      uint64
+
+	// progressGate, when set, is called after every progress event is
+	// recorded, on the engine goroutine that emitted it; tests block in
+	// it to hold a run provably mid-flight. Set before any Submit.
+	progressGate func()
 }
 
 // NewQueue builds an empty queue.
@@ -527,6 +532,9 @@ func (q *Queue) Submit(ctx context.Context, spec *repro.PlanSpec, opts SubmitOpt
 		runRef.mu.Unlock()
 		if r != nil {
 			r.appendEvent(ev)
+		}
+		if q.progressGate != nil {
+			q.progressGate()
 		}
 	})
 	if err != nil {

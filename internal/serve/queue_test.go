@@ -213,6 +213,15 @@ func TestQueueAttachedDisconnectCancels(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	q := NewQueue(QueueConfig{})
+	// Hold the engine inside its first progress callback until the
+	// client has gone, so the run cannot finish before the disconnect.
+	reached, resume := make(chan struct{}), make(chan struct{})
+	release := sync.OnceFunc(func() { close(resume) })
+	defer release()
+	q.progressGate = sync.OnceFunc(func() {
+		close(reached)
+		<-resume
+	})
 	spec := smallSpec(t, 9)
 	spec.Refine = 6
 	spec.MaxInFlight = 1
@@ -223,19 +232,25 @@ func TestQueueAttachedDisconnectCancels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Let the run make some progress, then drop the only client.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		evs, _, finished := job.Progress(0)
-		if len(evs) > 0 {
-			break
-		}
-		if finished || time.Now().After(deadline) {
-			t.Fatalf("run finished or timed out before emitting progress (state %s)", job.State())
-		}
-		time.Sleep(time.Millisecond)
+	// Wait for the run's first progress event, then drop the only
+	// client while the engine is held mid-flight.
+	select {
+	case <-reached:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("run did not emit progress (state %s)", job.State())
+	}
+	if evs, _, finished := job.Progress(0); len(evs) == 0 || finished {
+		t.Fatalf("at the gate: %d progress events, finished=%v; want a run in flight", len(evs), finished)
 	}
 	disconnect()
+	// The lease watcher cancels the run asynchronously; let the engine
+	// go only once that cancel has landed.
+	select {
+	case <-job.run.ctx.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("the only client disconnected but the run was not cancelled")
+	}
+	release()
 
 	select {
 	case <-job.Done():

@@ -5,19 +5,22 @@ import (
 
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/temporal"
 )
 
 // runRecorder is a streaming trip consumer that copies every delivered
-// run, for asserting the delivery contract.
+// run, for asserting the delivery contract. Runs arrive one at a time,
+// but ObservePeriod may run concurrently for different periods, so the
+// period tally is atomic.
 type runRecorder struct {
 	view     *StreamView
 	dests    []int32
 	flat     []temporal.Trip
 	finished bool
-	periods  int
+	periods  atomic.Int64
 }
 
 func (o *runRecorder) Needs() Needs { return Needs{StreamTripRuns: true} }
@@ -52,7 +55,7 @@ func (o *runRecorder) ObservePeriod(p *Period) error {
 	if !o.finished {
 		return errors.New("period observed before FinishTripRuns")
 	}
-	o.periods++
+	o.periods.Add(1)
 	return nil
 }
 
@@ -96,8 +99,8 @@ func TestStreamTripRunsDelivery(t *testing.T) {
 								workers, inFlight, i, rec.flat[i], want[i])
 						}
 					}
-					if rec.periods != 2 {
-						t.Fatalf("observed %d periods, want 2", rec.periods)
+					if n := rec.periods.Load(); n != 2 {
+						t.Fatalf("observed %d periods, want 2", n)
 					}
 				}
 			}

@@ -5,10 +5,8 @@ package repro
 // grids, windows, refinement policy, engine budgets — into an immutable
 // Plan, and Plan.Run(ctx) executes it as fused sweep-engine passes with
 // context cancellation, progress streaming and per-run engine
-// statistics. Every deprecated entry point (SaturationScale, Sweep,
-// MultiSweep, MultiSweepWindowed, ClassicProperties, TransitionLoss,
-// Elongation, AnalyzeAdaptive) is a thin wrapper over a Plan, pinned
-// bit-exact by the equivalence tests in analysis_equiv_test.go.
+// statistics. The equivalence tests in analysis_equiv_test.go pin it
+// bit-exact with the internal implementation of every metric.
 
 import (
 	"context"

@@ -7,9 +7,14 @@ package repro
 import (
 	"context"
 	"testing"
-
-	"repro/internal/sweep"
 )
+
+// beginCounter counts the engine passes that reached its Begin.
+type beginCounter struct{ n int }
+
+func (o *beginCounter) Needs() SweepNeeds                { return SweepNeeds{Occupancies: true} }
+func (o *beginCounter) Begin(*SweepStreamView) error     { o.n++; return nil }
+func (o *beginCounter) ObservePeriod(*SweepPeriod) error { return nil }
 
 func TestPlanRunPreCancelled(t *testing.T) {
 	s := NewStream()
@@ -24,8 +29,13 @@ func TestPlanRunPreCancelled(t *testing.T) {
 		}
 	}
 	// An explicit grid keeps NewAnalysis from deriving one (which would
-	// sort the stream while measuring its resolution).
-	plan, err := NewAnalysis(s, WithGrid(1, 5, 25))
+	// sort the stream while measuring its resolution). The progress
+	// hook and the observer's Begin fire as soon as an engine pass
+	// starts, so both must stay silent.
+	progressed := false
+	begins := &beginCounter{}
+	plan, err := NewAnalysis(s, WithGrid(1, 5, 25), WithObservers(begins),
+		WithProgress(func(ProgressEvent) { progressed = true }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,19 +44,17 @@ func TestPlanRunPreCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	sweep.ResetBuildStats()
 	if _, err := plan.Run(ctx); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if s.Sorted() {
 		t.Fatal("pre-cancelled Run must return before sorting the stream")
 	}
-	if got := sweep.RunCount(); got != 0 {
-		t.Fatalf("RunCount = %d after pre-cancelled Run, want 0", got)
+	if progressed || begins.n != 0 {
+		t.Fatalf("pre-cancelled Run started an engine pass (progress=%v, Begin calls=%d)", progressed, begins.n)
 	}
 
-	// Same contract for the deprecated-path internals reached through a
-	// plan: the adaptive run.
+	// Same contract for the adaptive run.
 	adPlan, err := NewAnalysis(uniformWorkload(t), WithAdaptive(AdaptiveConfig{GridPoints: 6}))
 	if err != nil {
 		t.Fatal(err)

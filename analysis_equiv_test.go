@@ -1,11 +1,12 @@
 package repro
 
-// Equivalence pins for the API redesign: every deprecated wrapper must
-// be bit-exact with (a) the internal implementation it used to call
-// directly and (b) its Plan/Run replacement. Together with the
-// internal packages' own *Reference equivalence suites, this chains
-// the new single execution path all the way back to the seed
-// implementations.
+// Equivalence pins for the single public entry point: Plan.Run must be
+// bit-exact with the internal implementation each analysis reaches,
+// across every option matrix. Each test is named after the removed
+// root entry point whose plan it pins (see the README's "Removed entry
+// points" table). Together with the internal packages' own *Reference
+// equivalence suites, this chains the single execution path all the
+// way back to the seed implementations.
 
 import (
 	"context"
@@ -19,6 +20,36 @@ import (
 	"repro/internal/validate"
 )
 
+// planOptions maps the occupancy-method options onto plan options.
+func planOptions(opt Options) []Option {
+	opts := []Option{
+		WithDirected(opt.Directed),
+		WithWorkers(opt.Workers),
+		WithSelectors(opt.Selectors...),
+		WithRefine(opt.Refine),
+		WithHistogramBins(opt.HistogramBins),
+		WithMaxInFlight(opt.MaxInFlight),
+	}
+	if len(opt.Grid) > 0 {
+		opts = append(opts, WithGrid(opt.Grid...))
+	}
+	return opts
+}
+
+// runPlan builds and runs a plan over s.
+func runPlan(t *testing.T, s *Stream, opts ...Option) *Report {
+	t.Helper()
+	plan, err := NewAnalysis(s, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := plan.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 func TestSaturationScaleWrapperEquivalence(t *testing.T) {
 	s := uniformWorkload(t)
 	for _, opt := range []Options{
@@ -31,30 +62,9 @@ func TestSaturationScaleWrapperEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := SaturationScale(s, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("SaturationScale wrapper diverged for %+v:\n got %+v\nwant %+v", opt, got, want)
-		}
-
-		// And against the explicit plan.
-		opts := optionsFromCore(opt)
-		if len(opt.Grid) > 0 {
-			opts = append(opts, WithGrid(opt.Grid...))
-		}
-		plan, err := NewAnalysis(s, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := plan.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, ok := rep.Scale()
+		res, ok := runPlan(t, s, planOptions(opt)...).Scale()
 		if !ok || !reflect.DeepEqual(res, want) {
-			t.Fatalf("plan scale diverged for %+v", opt)
+			t.Fatalf("plan scale diverged for %+v:\n got %+v\nwant %+v", opt, res, want)
 		}
 	}
 }
@@ -72,12 +82,10 @@ func TestSweepWrapperEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Sweep(s, grid, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
+		opt.Grid = grid
+		got := runPlan(t, s, planOptions(opt)...).Occupancy()
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("Sweep wrapper diverged for %+v", opt)
+			t.Fatalf("plan occupancy curve diverged for %+v", opt)
 		}
 	}
 }
@@ -86,40 +94,31 @@ func TestCurveWrapperEquivalence(t *testing.T) {
 	s := uniformWorkload(t)
 	grid := LogGrid(1, 50_000, 8)
 	for _, directed := range []bool{false, true} {
+		curve := func(m Metric) *Report {
+			return runPlan(t, s, WithMetrics(m), WithGrid(grid...), WithDirected(directed))
+		}
 		wantClassic, err := classic.Curve(context.Background(), s, grid, classic.Options{Directed: directed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotClassic, err := ClassicProperties(s, grid, directed, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(gotClassic, wantClassic) {
-			t.Fatalf("ClassicProperties diverged (directed=%v)", directed)
+		if got := curve(MetricClassic).Classic(); !reflect.DeepEqual(got, wantClassic) {
+			t.Fatalf("plan classic curve diverged (directed=%v)", directed)
 		}
 
 		wantLoss, err := validate.TransitionLossCurve(context.Background(), s, grid, validate.Options{Directed: directed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotLoss, err := TransitionLoss(s, grid, directed, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(gotLoss, wantLoss) {
-			t.Fatalf("TransitionLoss diverged (directed=%v)", directed)
+		if got := curve(MetricTransitionLoss).TransitionLoss(); !reflect.DeepEqual(got, wantLoss) {
+			t.Fatalf("plan transition-loss curve diverged (directed=%v)", directed)
 		}
 
 		wantElong, err := validate.ElongationCurve(context.Background(), s, grid, validate.Options{Directed: directed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotElong, err := Elongation(s, grid, directed, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(gotElong, wantElong) {
-			t.Fatalf("Elongation diverged (directed=%v)", directed)
+		if got := curve(MetricElongation).Elongation(); !reflect.DeepEqual(got, wantElong) {
+			t.Fatalf("plan elongation curve diverged (directed=%v)", directed)
 		}
 	}
 }
@@ -135,12 +134,20 @@ func TestAnalyzeAdaptiveWrapperEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := AnalyzeAdaptive(s, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		// WithAdaptive reads only the segmentation knobs; the execution
+		// fields map onto the matching plan options.
+		got := runPlan(t, s,
+			WithAdaptive(cfg),
+			WithDirected(cfg.Directed),
+			WithWorkers(cfg.Workers),
+			WithMaxInFlight(cfg.MaxInFlight),
+			WithSelectors(cfg.Selectors...),
+			WithRefine(cfg.Refine),
+			WithGridPoints(cfg.GridPoints),
+			WithMinDelta(cfg.MinDelta),
+		).Adaptive()
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("AnalyzeAdaptive wrapper diverged for %+v:\n got %+v\nwant %+v", cfg, got, want)
+			t.Fatalf("plan adaptive analysis diverged for %+v:\n got %+v\nwant %+v", cfg, got, want)
 		}
 	}
 }
@@ -159,22 +166,19 @@ func TestMultiSweepWrapperEquivalence(t *testing.T) {
 		}
 	}
 	wantObs := build()
-	if err := sweep.Run(context.Background(), s, grid, SweepEngineOptions{MaxInFlight: 2}, wantObs...); err != nil {
+	if err := sweep.Run(context.Background(), s, grid, sweep.Options{MaxInFlight: 2}, wantObs...); err != nil {
 		t.Fatal(err)
 	}
 	gotObs := build()
-	var stats EngineStats
-	if err := MultiSweep(s, grid, SweepEngineOptions{MaxInFlight: 2, Stats: &stats}, gotObs...); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Passes != 1 || stats.Builds != int64(len(grid)) {
-		t.Fatalf("wrapper did not surface engine stats: %+v", stats)
+	rep := runPlan(t, s, WithMetrics(), WithGrid(grid...), WithMaxInFlight(2), WithObservers(gotObs...))
+	if stats := rep.EngineStats(); stats.Passes != 1 || stats.Builds != int64(len(grid)) {
+		t.Fatalf("plan did not surface engine stats: %+v", stats)
 	}
 	for i := range wantObs {
 		want := observerPoints(t, wantObs[i])
 		got := observerPoints(t, gotObs[i])
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("MultiSweep wrapper diverged for observer %d (%T)", i, wantObs[i])
+			t.Fatalf("plan observers diverged for observer %d (%T)", i, wantObs[i])
 		}
 	}
 
@@ -188,16 +192,14 @@ func TestMultiSweepWrapperEquivalence(t *testing.T) {
 		}
 	}
 	wantObs = build()
-	if err := sweep.RunWindowed(context.Background(), s, SweepEngineOptions{}, segs(wantObs)...); err != nil {
+	if err := sweep.RunWindowed(context.Background(), s, sweep.Options{}, segs(wantObs)...); err != nil {
 		t.Fatal(err)
 	}
 	gotObs = build()
-	if err := MultiSweepWindowed(s, SweepEngineOptions{}, segs(gotObs)...); err != nil {
-		t.Fatal(err)
-	}
+	runPlan(t, s, WithMetrics(), WithSegments(segs(gotObs)...))
 	for i := range wantObs {
 		if !reflect.DeepEqual(observerPoints(t, gotObs[i]), observerPoints(t, wantObs[i])) {
-			t.Fatalf("MultiSweepWindowed wrapper diverged for observer %d (%T)", i, wantObs[i])
+			t.Fatalf("plan segments diverged for observer %d (%T)", i, wantObs[i])
 		}
 	}
 }

@@ -69,17 +69,22 @@ func ExampleNewAnalysis() {
 	// transitions in the stream: 11
 }
 
-// MultiSweep computes several metrics in one fused engine pass: each
-// candidate period is aggregated and swept exactly once, and every
+// WithObservers computes several metrics in one fused engine pass:
+// each candidate period is aggregated and swept exactly once, and every
 // registered observer scores that single sweep.
-func ExampleMultiSweep() {
+func ExampleWithObservers() {
 	occ := repro.NewOccupancyObserver(nil)
 	loss := repro.NewTransitionLossObserver()
 	dist := repro.NewDistanceObserver()
-	grid := []int64{1, 4, 11}
-	err := repro.MultiSweep(figure1(), grid, repro.SweepEngineOptions{MaxInFlight: 2},
-		occ, loss, dist)
+	plan, err := repro.NewAnalysis(figure1(),
+		repro.WithMetrics(),
+		repro.WithGrid(1, 4, 11),
+		repro.WithMaxInFlight(2),
+		repro.WithObservers(occ, loss, dist))
 	if err != nil {
+		log.Fatal(err)
+	}
+	if _, err := plan.Run(context.Background()); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("periods scored:", len(occ.Points()))

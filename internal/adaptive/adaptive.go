@@ -34,8 +34,8 @@
 // stream the single activity segment covers exactly the global scope
 // with an identical candidate grid, so every (window, ∆) period is
 // built and swept once and its products fan to both searches
-// (sweep.DedupCount instruments it; the result is bit-identical to two
-// separate sweeps).
+// (Config.Stats.Dedups instruments it; the result is bit-identical to
+// two separate sweeps).
 package adaptive
 
 import (

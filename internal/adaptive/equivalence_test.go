@@ -130,25 +130,29 @@ func TestAnalyzeOneEnginePass(t *testing.T) {
 		t.Fatalf("workload too small: only %d analysed segments", analysed)
 	}
 
-	sweep.ResetBuildStats()
-	if _, err := Analyze(context.Background(), s, cfg); err != nil {
+	var st sweep.RunStats
+	fused := cfg
+	fused.Stats = &st
+	if _, err := Analyze(context.Background(), s, fused); err != nil {
 		t.Fatal(err)
 	}
-	if runs := sweep.RunCount(); runs != 1 {
-		t.Fatalf("Analyze performed %d engine passes, want exactly 1", runs)
+	if st.Passes != 1 {
+		t.Fatalf("Analyze performed %d engine passes, want exactly 1", st.Passes)
 	}
-	if builds, _ := sweep.BuildStats(); builds != wantBuilds {
-		t.Fatalf("Analyze built %d period CSRs, want %d (one per (segment, delta))", builds, wantBuilds)
+	if st.Builds != wantBuilds {
+		t.Fatalf("Analyze built %d period CSRs, want %d (one per (segment, delta))", st.Builds, wantBuilds)
 	}
 
 	// The reference pays one engine pass per analysed segment plus one
 	// for the global sweep.
-	sweep.ResetBuildStats()
-	if _, err := AnalyzeReference(s, cfg); err != nil {
+	var refStats sweep.RunStats
+	ref := cfg
+	ref.Stats = &refStats
+	if _, err := AnalyzeReference(s, ref); err != nil {
 		t.Fatal(err)
 	}
-	if runs := sweep.RunCount(); runs != int64(1+analysed) {
-		t.Fatalf("reference performed %d engine passes, want %d", runs, 1+analysed)
+	if refStats.Passes != int64(1+analysed) {
+		t.Fatalf("reference performed %d engine passes, want %d", refStats.Passes, 1+analysed)
 	}
 }
 
@@ -171,23 +175,25 @@ func TestAnalyzeHomogeneousDedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	grid := core.LogGrid(s.Resolution(), s.Duration(), cfg.withDefaults().GridPoints)
-	sweep.ResetBuildStats()
-	got, err := Analyze(context.Background(), s, cfg)
+	var st sweep.RunStats
+	fused := cfg
+	fused.Stats = &st
+	got, err := Analyze(context.Background(), s, fused)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.TwoMode || len(got.Segments) != 1 {
 		t.Fatalf("uniform stream misclassified: %+v", got.Segments)
 	}
-	if runs := sweep.RunCount(); runs != 1 {
-		t.Fatalf("Analyze performed %d engine passes, want 1", runs)
+	if st.Passes != 1 {
+		t.Fatalf("Analyze performed %d engine passes, want 1", st.Passes)
 	}
-	if builds, _ := sweep.BuildStats(); builds != int64(len(grid)) {
+	if st.Builds != int64(len(grid)) {
 		t.Fatalf("homogeneous Analyze built %d period CSRs, want %d (global and segment scopes coincide)",
-			builds, len(grid))
+			st.Builds, len(grid))
 	}
-	if d := sweep.DedupCount(); d != int64(len(grid)) {
-		t.Fatalf("DedupCount = %d, want %d", d, len(grid))
+	if st.Dedups != int64(len(grid)) {
+		t.Fatalf("Dedups = %d, want %d", st.Dedups, len(grid))
 	}
 	if got.Segments[0].Gamma != got.GlobalGamma {
 		t.Fatalf("deduplicated scopes diverged: segment gamma %d, global %d",

@@ -7,17 +7,26 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/linkstream"
+	"repro/internal/sweep"
 )
 
 // AnalyzeReference is the retained per-segment implementation of
-// Analyze: one full core.SaturationScale pass over the whole stream
+// Analyze: one full occupancy-method search over the whole stream
 // plus one pass per sufficiently populated segment, each slicing and
 // re-canonicalising its own copy of the events and spinning its own
 // engine. It computes exactly what Analyze computes — the equivalence
 // tests pin the two bit for bit — at the cost of one engine pass per
-// segment instead of one per analysis round.
+// segment instead of one per analysis round. cfg.Stats counts every
+// one of those passes.
 func AnalyzeReference(s *linkstream.Stream, cfg Config) (*Analysis, error) {
 	cfg = cfg.withDefaults()
+	ctx := context.Background()
+	engOpt := sweep.Options{Directed: cfg.Directed, Workers: cfg.Workers, MaxInFlight: cfg.MaxInFlight, LaneWidth: cfg.LaneWidth, Stats: cfg.Stats}
+	scale := func(s *linkstream.Stream, opt core.Options) (core.Result, error) {
+		return core.SaturationScaleWith(ctx, opt, func(grid []int64, obs sweep.Observer) error {
+			return sweep.Run(ctx, s, grid, engOpt, obs)
+		})
+	}
 	segs, twoMode, err := Segments(s, cfg)
 	if err != nil {
 		return nil, err
@@ -27,7 +36,7 @@ func AnalyzeReference(s *linkstream.Stream, cfg Config) (*Analysis, error) {
 		lo = s.Resolution()
 	}
 	opt := cfg.coreOptions(core.LogGrid(lo, s.Duration(), cfg.GridPoints))
-	global, err := core.SaturationScale(context.Background(), s, opt)
+	global, err := scale(s, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -40,7 +49,7 @@ func AnalyzeReference(s *linkstream.Stream, cfg Config) (*Analysis, error) {
 			continue
 		}
 		segOpt := cfg.coreOptions(core.LogGrid(sub.Resolution(), sub.Duration(), cfg.GridPoints))
-		res, err := core.SaturationScale(context.Background(), sub, segOpt)
+		res, err := scale(sub, segOpt)
 		if err != nil {
 			return nil, fmt.Errorf("adaptive: segment [%d,%d): %w", seg.Start, seg.End, err)
 		}

@@ -225,7 +225,7 @@ func sortedEvents(s *linkstream.Stream, directed bool) []linkstream.Event {
 // OccupancyObserver is the occupancy method as a sweep-engine observer:
 // it scores every period's occupancy distribution (exact sample or
 // streamed histogram) with the configured selectors. Register it with
-// sweep.Run — or repro.MultiSweep — to fuse the occupancy curve with
+// sweep.Run — or repro.WithObservers — to fuse the occupancy curve with
 // other metrics in one pass.
 type OccupancyObserver struct {
 	sels   []dist.Selector
@@ -257,7 +257,7 @@ func (o *OccupancyObserver) ObservePeriod(p *sweep.Period) error {
 	if p.Histogram != nil {
 		// The histogram backend only approximates the M-K score; reject
 		// other selectors here too, so the engine-level entry points
-		// (sweep.Run, repro.MultiSweep) cannot silently fill their
+		// (sweep.Run, repro.WithObservers) cannot silently fill their
 		// slots with the wrong score.
 		for _, sel := range o.sels {
 			if _, ok := sel.(dist.MKProximitySelector); !ok {

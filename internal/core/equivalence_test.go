@@ -84,7 +84,7 @@ func TestSweepMatchesReference(t *testing.T) {
 }
 
 // TestHistogramRejectsNonMKViaEngine pins the observer-level guard:
-// driving the engine directly (as repro.MultiSweep does) with the
+// driving the engine directly (as repro.WithObservers does) with the
 // histogram backend and a non-M-K selector must fail rather than
 // silently fill every slot with the M-K score.
 func TestHistogramRejectsNonMKViaEngine(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/dist"
+	"repro/internal/linkstream"
 	"repro/internal/sweep"
 )
 
@@ -33,20 +34,29 @@ func TestSaturationScaleWithMatchesSaturationScale(t *testing.T) {
 	}
 }
 
+// statsRunner is SaturationScale's engine pass over s with every
+// pass's counters accumulated into st.
+func statsRunner(s *linkstream.Stream, opt Options, st *sweep.RunStats) SweepRunner {
+	eng := opt.engineOptions()
+	eng.Stats = st
+	return func(grid []int64, obs sweep.Observer) error {
+		return sweep.Run(context.Background(), s, grid, eng, obs)
+	}
+}
+
 // TestScaleSearchSweepsEachDeltaOnce asserts the staged refinement
 // never rebuilds an already-scored ∆: the total CSR builds of a refined
 // SaturationScale equal the number of distinct points in its curve.
 func TestScaleSearchSweepsEachDeltaOnce(t *testing.T) {
 	s := mixedStream(t, 7, 2, 3000, 3)
 	opt := Options{Grid: LogGrid(1, 3000, 8), Refine: 5}
-	sweep.ResetBuildStats()
-	res, err := SaturationScale(context.Background(), s, opt)
+	var st sweep.RunStats
+	res, err := SaturationScaleWith(context.Background(), opt, statsRunner(s, opt, &st))
 	if err != nil {
 		t.Fatal(err)
 	}
-	builds, _ := sweep.BuildStats()
-	if builds != int64(len(res.Points)) {
-		t.Fatalf("built %d period CSRs for %d distinct scored deltas", builds, len(res.Points))
+	if st.Builds != int64(len(res.Points)) {
+		t.Fatalf("built %d period CSRs for %d distinct scored deltas", st.Builds, len(res.Points))
 	}
 	if len(res.Points) <= len(opt.Grid) {
 		t.Fatalf("refinement added no points (%d <= %d); workload does not exercise the second round",

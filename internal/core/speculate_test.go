@@ -64,14 +64,13 @@ func TestSpeculativeSweepsEachDeltaOnce(t *testing.T) {
 	s := mixedStream(t, 7, 2, 3000, 3)
 	for _, speculate := range []bool{false, true} {
 		opt := Options{Grid: LogGrid(1, 3000, 8), Refine: 5, Bisect: true, Speculate: speculate}
-		sweep.ResetBuildStats()
-		res, err := SaturationScale(context.Background(), s, opt)
+		var st sweep.RunStats
+		res, err := SaturationScaleWith(context.Background(), opt, statsRunner(s, opt, &st))
 		if err != nil {
 			t.Fatal(err)
 		}
-		builds, _ := sweep.BuildStats()
-		if builds != int64(len(res.Points)) {
-			t.Fatalf("speculate=%v: built %d period CSRs for %d distinct scored deltas", speculate, builds, len(res.Points))
+		if st.Builds != int64(len(res.Points)) {
+			t.Fatalf("speculate=%v: built %d period CSRs for %d distinct scored deltas", speculate, st.Builds, len(res.Points))
 		}
 		if len(res.Points) <= len(opt.Grid) {
 			t.Fatalf("speculate=%v: bisection added no points (%d <= %d)", speculate, len(res.Points), len(opt.Grid))

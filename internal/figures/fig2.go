@@ -8,6 +8,7 @@ import (
 	"repro/internal/classic"
 	"repro/internal/core"
 	"repro/internal/datasets"
+	"repro/internal/sweep"
 	"repro/internal/textplot"
 )
 
@@ -16,9 +17,11 @@ import (
 // smoothly (Section 3's point).
 type Fig2Result struct {
 	Points []classic.Point
+	// Stats is the engine instrumentation of the single pass.
+	Stats sweep.RunStats
 }
 
-// Fig2 computes the classical-property curves.
+// Fig2 computes the classical-property curves in one engine pass.
 func Fig2(p Profile) (*Fig2Result, error) {
 	s, err := datasets.Irvine().Stream()
 	if err != nil {
@@ -26,11 +29,14 @@ func Fig2(p Profile) (*Fig2Result, error) {
 	}
 	s = p.prepare(s)
 	grid := core.LogGrid(MinDelta, s.Duration(), p.GridPoints)
-	pts, err := classic.Curve(context.Background(), s, grid, classic.Options{Workers: p.Workers, MaxInFlight: p.MaxInFlight})
+	res := &Fig2Result{}
+	obs := classic.NewObserver()
+	err = sweep.Run(context.Background(), s, grid, sweep.Options{Workers: p.Workers, MaxInFlight: p.MaxInFlight, Stats: &res.Stats}, obs)
 	if err != nil {
 		return nil, err
 	}
-	return &Fig2Result{Points: pts}, nil
+	res.Points = obs.Points()
+	return res, nil
 }
 
 // MonotoneDrift reports whether the curves exhibit the paper's smooth

@@ -22,6 +22,8 @@ type Fig8Result struct {
 	// LossAtGamma and ElongationAtGamma interpolate the curves at γ.
 	LossAtGamma       float64
 	ElongationAtGamma float64
+	// Stats is the engine instrumentation of the single pass.
+	Stats sweep.RunStats
 }
 
 // Fig8 computes the transition-loss (left) and elongation (right)
@@ -42,7 +44,8 @@ func Fig8(p Profile) (*Fig8Result, error) {
 	occObs := core.NewOccupancyObserver(nil)
 	lossObs := validate.NewTransitionLossObserver()
 	elongObs := validate.NewElongationObserver()
-	err = sweep.Run(context.Background(), s, grid, sweep.Options{Workers: p.Workers, MaxInFlight: p.MaxInFlight},
+	res := &Fig8Result{}
+	err = sweep.Run(context.Background(), s, grid, sweep.Options{Workers: p.Workers, MaxInFlight: p.MaxInFlight, Stats: &res.Stats},
 		occObs, lossObs, elongObs)
 	if err != nil {
 		return nil, err
@@ -51,7 +54,7 @@ func Fig8(p Profile) (*Fig8Result, error) {
 	gamma := points[core.Best(points, 0)].Delta
 	loss := lossObs.Points()
 	elong := elongObs.Points()
-	res := &Fig8Result{Gamma: gamma, Loss: loss, Elongation: elong}
+	res.Gamma, res.Loss, res.Elongation = gamma, loss, elong
 	res.LossAtGamma = interpAt(gamma, loss, func(p validate.LossPoint) (int64, float64) { return p.Delta, p.Lost })
 	res.ElongationAtGamma = interpAt(gamma, elong, func(p validate.ElongationPoint) (int64, float64) { return p.Delta, p.MeanElongation })
 	return res, nil

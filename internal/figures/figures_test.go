@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datasets"
-	"repro/internal/sweep"
 	"repro/internal/validate"
 )
 
@@ -24,20 +23,20 @@ func TestFigureSweepsBuildEachPeriodOnce(t *testing.T) {
 	s = p.prepare(s)
 	gridLen := len(core.LogGrid(MinDelta, s.Duration(), p.GridPoints))
 
-	sweep.ResetBuildStats()
-	if _, err := Fig8(p); err != nil {
+	r8, err := Fig8(p)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if builds, _ := sweep.BuildStats(); builds != int64(gridLen) {
-		t.Fatalf("Fig8 built %d period CSRs for %d grid entries", builds, gridLen)
+	if r8.Stats.Builds != int64(gridLen) {
+		t.Fatalf("Fig8 built %d period CSRs for %d grid entries", r8.Stats.Builds, gridLen)
 	}
 
-	sweep.ResetBuildStats()
-	if _, err := Fig2(p); err != nil {
+	r2, err := Fig2(p)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if builds, _ := sweep.BuildStats(); builds != int64(gridLen) {
-		t.Fatalf("Fig2 built %d period CSRs for %d grid entries", builds, gridLen)
+	if r2.Stats.Builds != int64(gridLen) {
+		t.Fatalf("Fig2 built %d period CSRs for %d grid entries", r2.Stats.Builds, gridLen)
 	}
 }
 

@@ -31,13 +31,13 @@ func runAll(t *testing.T, s *linkstream.Stream, grid []int64, opt sweep.Options)
 	com := NewComponentsObserver()
 	cor := NewCorenessObserver()
 	wgt := NewWeightedObserver()
-	sweep.ResetBuildStats()
+	var st sweep.RunStats
+	opt.Stats = &st
 	if err := sweep.Run(context.Background(), s, grid, opt, deg, clu, com, cor, wgt); err != nil {
 		t.Fatalf("sweep.Run: %v", err)
 	}
-	builds, _ := sweep.BuildStats()
-	if builds != int64(len(grid)) {
-		t.Fatalf("engine built %d CSRs for %d grid points; metric lanes must not add builds", builds, len(grid))
+	if st.Builds != int64(len(grid)) {
+		t.Fatalf("engine built %d CSRs for %d grid points; metric lanes must not add builds", st.Builds, len(grid))
 	}
 	return engineResult{Deg: deg.Points(), Clu: clu.Points(), Com: com.Points(), Cor: cor.Points(), Wgt: wgt.Points()}
 }
@@ -175,12 +175,12 @@ func TestSnapshotOnlySpec(t *testing.T) {
 	grid := []int64{300, 1100, 9000}
 	for _, directed := range []bool{false, true} {
 		deg := NewDegreeObserver()
-		sweep.ResetBuildStats()
-		if err := sweep.Run(context.Background(), s, grid, sweep.Options{Directed: directed, Workers: 2}, deg); err != nil {
+		var st sweep.RunStats
+		if err := sweep.Run(context.Background(), s, grid, sweep.Options{Directed: directed, Workers: 2, Stats: &st}, deg); err != nil {
 			t.Fatalf("sweep.Run: %v", err)
 		}
-		if builds, _ := sweep.BuildStats(); builds != int64(len(grid)) {
-			t.Fatalf("snapshot-only run built %d CSRs, want %d", builds, len(grid))
+		if st.Builds != int64(len(grid)) {
+			t.Fatalf("snapshot-only run built %d CSRs, want %d", st.Builds, len(grid))
 		}
 		ref, err := DegreeReference(s, grid, directed)
 		if err != nil {

@@ -13,7 +13,6 @@ import (
 
 	"repro"
 	"repro/internal/linkstream"
-	"repro/internal/sweep"
 	"repro/internal/synth"
 	"repro/internal/temporal"
 )
@@ -83,7 +82,6 @@ func assertArenaBalance(t *testing.T, stage string) {
 // other submit coalesces or hits the cache, and all N report the same
 // result.
 func TestQueueCoincidingSubmits(t *testing.T) {
-	sweep.ResetBuildStats()
 	q := NewQueue(QueueConfig{})
 	defer q.Close()
 
@@ -99,8 +97,8 @@ func TestQueueCoincidingSubmits(t *testing.T) {
 		specs[i] = s
 	}
 
-	runsBefore := sweep.RunCount()
 	var wg sync.WaitGroup
+	jobs := make([]*Job, n)
 	reports := make([]*repro.Report, n)
 	errs := make([]error, n)
 	for i := range specs {
@@ -112,6 +110,7 @@ func TestQueueCoincidingSubmits(t *testing.T) {
 				errs[i] = err
 				return
 			}
+			jobs[i] = job
 			reports[i], errs[i] = job.Wait(context.Background())
 		}(i)
 	}
@@ -122,10 +121,14 @@ func TestQueueCoincidingSubmits(t *testing.T) {
 		}
 	}
 
-	if got := sweep.RunCount() - runsBefore; got != 1 {
-		t.Fatalf("engine ran %d times for %d coinciding submits, want exactly 1", got, n)
-	}
 	st := q.Stats()
+	for i, job := range jobs {
+		// Every submit is served by the one run: its plan.Run made
+		// Passes engine passes, and the queue started RunCount runs.
+		if got := st.RunCount * job.EngineStats().Passes; got != 1 {
+			t.Fatalf("submit %d: engine ran %d times for %d coinciding submits, want exactly 1", i, got, n)
+		}
+	}
 	if st.Submitted != n {
 		t.Fatalf("Submitted = %d, want %d", st.Submitted, n)
 	}
@@ -163,7 +166,6 @@ func serveReportBytes(rep *repro.Report) ([]byte, error) {
 // acceptance criterion: once a run completed, a coinciding submit is
 // served from cache with zero additional engine runs.
 func TestQueueCacheHitAfterCompletion(t *testing.T) {
-	sweep.ResetBuildStats()
 	q := NewQueue(QueueConfig{})
 	defer q.Close()
 
@@ -175,7 +177,7 @@ func TestQueueCacheHitAfterCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runsAfterFirst := sweep.RunCount()
+	runsAfterFirst := q.Stats().RunCount
 
 	job2, err := q.Submit(context.Background(), smallSpec(t, 5), SubmitOptions{})
 	if err != nil {
@@ -191,8 +193,11 @@ func TestQueueCacheHitAfterCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sweep.RunCount() != runsAfterFirst {
+	if q.Stats().RunCount != runsAfterFirst {
 		t.Fatal("cache hit triggered an engine run")
+	}
+	if job2.EngineStats() != job1.EngineStats() {
+		t.Fatalf("cache hit reports engine stats %+v, want the producing run's %+v", job2.EngineStats(), job1.EngineStats())
 	}
 	b1, _ := EncodeReport(rep1)
 	b2, _ := EncodeReport(rep2)

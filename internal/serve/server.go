@@ -26,6 +26,8 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+
+	"repro"
 )
 
 // MaxSpecBytes bounds a submit body; larger requests fail with 413.
@@ -42,19 +44,10 @@ type JobStatus struct {
 	CacheHit  bool     `json:"cache_hit"`
 	Coalesced bool     `json:"coalesced"`
 	Error     string   `json:"error,omitempty"`
-	// Stats is the run's engine instrumentation, present once done.
-	Stats *statusStats `json:"stats,omitempty"`
-}
-
-// statusStats is the instrumentation slice of a job status — the
-// per-run numbers that deliberately do not travel inside the report.
-type statusStats struct {
-	Passes       int64 `json:"passes"`
-	Builds       int64 `json:"builds"`
-	Dedups       int64 `json:"dedups"`
-	StreamBuilds int64 `json:"stream_builds"`
-	Periods      int64 `json:"periods"`
-	MaxResident  int64 `json:"max_resident"`
+	// Stats is the run's engine instrumentation, present once done —
+	// the per-run numbers that deliberately do not travel inside the
+	// report.
+	Stats *repro.EngineStats `json:"stats,omitempty"`
 }
 
 // errorBody is every non-2xx JSON body: {"error": "..."}.
@@ -342,14 +335,7 @@ func statusOf(job *Job) JobStatus {
 	}
 	if st.State == StateDone {
 		es := job.EngineStats()
-		st.Stats = &statusStats{
-			Passes:       es.Passes,
-			Builds:       es.Builds,
-			Dedups:       es.Dedups,
-			StreamBuilds: es.StreamBuilds,
-			Periods:      es.Periods,
-			MaxResident:  es.MaxResident,
-		}
+		st.Stats = &es
 	}
 	return st
 }

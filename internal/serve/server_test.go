@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/sweep"
 )
 
 // testServer wires a queue into an httptest server and tears both down
@@ -51,9 +50,8 @@ func decodeStatus(t *testing.T, r io.Reader) JobStatus {
 // TestServerEndToEnd is the acceptance pin: an HTTP-fetched report is
 // byte-identical to the same plan run in-process, and a second
 // coinciding submit is served from cache with zero additional engine
-// runs, asserted via the engine's RunCount.
+// runs, asserted via the queue's RunCount and the jobs' engine stats.
 func TestServerEndToEnd(t *testing.T) {
-	sweep.ResetBuildStats()
 	ts, q := testServer(t, QueueConfig{})
 
 	spec := smallSpec(t, 61)
@@ -90,8 +88,11 @@ func TestServerEndToEnd(t *testing.T) {
 	if st.State != StateDone {
 		t.Fatalf("job ended %s: %s", st.State, st.Error)
 	}
-	if st.Stats == nil || st.Stats.Builds == 0 {
+	if st.Stats == nil || st.Stats.Builds == 0 || st.Stats.Passes < 1 {
 		t.Fatalf("done status carries no engine stats: %+v", st)
+	}
+	if st.Stats.ArenaHanded != st.Stats.ArenaRecycled {
+		t.Fatalf("done status: %d arenas handed but %d recycled", st.Stats.ArenaHanded, st.Stats.ArenaRecycled)
 	}
 
 	r, err := http.Get(ts.URL + loc + "/result")
@@ -122,9 +123,8 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Fatalf("HTTP report differs from in-process run:\n http %s\nlocal %s", httpReport, local)
 	}
 
-	// Second coinciding submit: cache hit, zero extra engine runs
-	// beyond the local comparison run above.
-	runsAfter := sweep.RunCount()
+	// Second coinciding submit: cache hit, zero extra engine runs.
+	runsAfter := q.Stats().RunCount
 	resp2, err := http.Post(ts.URL+"/v1/jobs", "application/json", submitBody(t, spec))
 	if err != nil {
 		t.Fatal(err)
@@ -143,8 +143,11 @@ func TestServerEndToEnd(t *testing.T) {
 	if !bytes.Equal(cached, httpReport) {
 		t.Fatal("cached result differs from the original")
 	}
-	if got := sweep.RunCount(); got != runsAfter {
+	if got := q.Stats().RunCount; got != runsAfter {
 		t.Fatalf("cache hit ran the engine (RunCount %d → %d)", runsAfter, got)
+	}
+	if st2.Stats == nil || *st2.Stats != *st.Stats {
+		t.Fatalf("cache hit reports engine stats %+v, want the producing run's %+v", st2.Stats, st.Stats)
 	}
 	if qs := q.Stats(); qs.RunCount != 1 || qs.CacheHits != 1 {
 		t.Fatalf("queue stats = %+v, want RunCount 1, CacheHits 1", qs)

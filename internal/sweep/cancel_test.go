@@ -64,19 +64,23 @@ func TestRunPreCancelledReturnsBeforeSort(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ResetBuildStats()
-	err := Run(ctx, s, []int64{1, 2}, Options{}, newProbe(Needs{Occupancies: true}))
+	var st RunStats
+	progressed := false
+	c := checkContract(t, newProbe(Needs{Occupancies: true}))
+	opt := Options{Workers: 2, MaxInFlight: 2, Stats: &st, Progress: func(ProgressEvent) { progressed = true }}
+	err := Run(ctx, s, []int64{1, 2}, opt, c)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if s.Sorted() {
 		t.Fatal("pre-cancelled run must return before sorting the stream")
 	}
-	if got := RunCount(); got != 0 {
-		t.Fatalf("RunCount = %d after pre-cancelled run, want 0 (no engine pass)", got)
+	if st.Passes != 0 || progressed || c.begins != 0 {
+		t.Fatalf("pre-cancelled run started an engine pass: Passes=%d progress=%v begins=%d, want none",
+			st.Passes, progressed, c.begins)
 	}
-	if builds, _ := BuildStats(); builds != 0 {
-		t.Fatalf("builds = %d after pre-cancelled run, want 0", builds)
+	if st.Builds != 0 {
+		t.Fatalf("builds = %d after pre-cancelled run, want 0", st.Builds)
 	}
 }
 

@@ -17,23 +17,24 @@ func TestWindowedDedupCoincidingJobs(t *testing.T) {
 	grid := []int64{3, 40, 700, 4000}
 	a := newProbe(allNeeds())
 	b := newProbe(allNeeds())
-	ResetBuildStats()
-	err := RunWindowed(context.Background(), s, Options{Workers: 3, MaxInFlight: 2},
-		SegmentObserver{Grid: grid, Observers: []Observer{a}},                         // whole stream, zero window
-		SegmentObserver{Start: t0, End: t1 + 1, Grid: grid, Observers: []Observer{b}}, // same events, explicit window
+	var st RunStats
+	cs := checkContracts(t, a, b)
+	err := RunWindowed(context.Background(), s, Options{Workers: 3, MaxInFlight: 2, Stats: &st},
+		SegmentObserver{Grid: grid, Observers: []Observer{cs[0]}},                         // whole stream, zero window
+		SegmentObserver{Start: t0, End: t1 + 1, Grid: grid, Observers: []Observer{cs[1]}}, // same events, explicit window
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	builds, _ := BuildStats()
-	if builds != int64(len(grid)) {
-		t.Fatalf("coinciding segments built %d CSRs, want %d (one per distinct (window, delta))", builds, len(grid))
+	verifyAll(cs)
+	if st.Builds != int64(len(grid)) {
+		t.Fatalf("coinciding segments built %d CSRs, want %d (one per distinct (window, delta))", st.Builds, len(grid))
 	}
-	if d := DedupCount(); d != int64(len(grid)) {
-		t.Fatalf("DedupCount = %d, want %d", d, len(grid))
+	if st.Dedups != int64(len(grid)) {
+		t.Fatalf("Dedups = %d, want %d", st.Dedups, len(grid))
 	}
-	if sb := StreamBuildCount(); sb != 1 {
-		t.Fatalf("StreamBuildCount = %d, want 1 (shared raw-stream enumeration)", sb)
+	if st.StreamBuilds != 1 {
+		t.Fatalf("StreamBuilds = %d, want 1 (shared raw-stream enumeration)", st.StreamBuilds)
 	}
 	for i := range grid {
 		pa, pb := a.periods[i], b.periods[i]
@@ -58,19 +59,21 @@ func TestWindowedDedupPartialOverlap(t *testing.T) {
 	gridB := []int64{60, 800}
 	a := newProbe(allNeeds())
 	b := newProbe(allNeeds())
-	ResetBuildStats()
-	err := RunWindowed(context.Background(), s, Options{Workers: 2},
-		SegmentObserver{Grid: gridA, Observers: []Observer{a}},
-		SegmentObserver{Grid: gridB, Observers: []Observer{b}},
+	var st RunStats
+	cs := checkContracts(t, a, b)
+	err := RunWindowed(context.Background(), s, Options{Workers: 2, MaxInFlight: 2, Stats: &st},
+		SegmentObserver{Grid: gridA, Observers: []Observer{cs[0]}},
+		SegmentObserver{Grid: gridB, Observers: []Observer{cs[1]}},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if builds, _ := BuildStats(); builds != 3 {
-		t.Fatalf("built %d CSRs, want 3 (grids {5,60} and {60,800} share delta 60)", builds)
+	verifyAll(cs)
+	if st.Builds != 3 {
+		t.Fatalf("built %d CSRs, want 3 (grids {5,60} and {60,800} share delta 60)", st.Builds)
 	}
-	if d := DedupCount(); d != 1 {
-		t.Fatalf("DedupCount = %d, want 1", d)
+	if st.Dedups != 1 {
+		t.Fatalf("Dedups = %d, want 1", st.Dedups)
 	}
 	for si, got := range []*probe{a, b} {
 		grid := gridA
@@ -97,21 +100,23 @@ func TestWindowedNoDedupAcrossWindows(t *testing.T) {
 	grid := []int64{7, 70}
 	a := newProbe(Needs{Trips: true, StreamTrips: true})
 	b := newProbe(Needs{Trips: true, StreamTrips: true})
-	ResetBuildStats()
-	err := RunWindowed(context.Background(), s, Options{Workers: 2},
-		SegmentObserver{Start: 0, End: 2000, Grid: grid, Observers: []Observer{a}},
-		SegmentObserver{Start: 2000, End: 4000, Grid: grid, Observers: []Observer{b}},
+	var st RunStats
+	cs := checkContracts(t, a, b)
+	err := RunWindowed(context.Background(), s, Options{Workers: 2, MaxInFlight: 2, Stats: &st},
+		SegmentObserver{Start: 0, End: 2000, Grid: grid, Observers: []Observer{cs[0]}},
+		SegmentObserver{Start: 2000, End: 4000, Grid: grid, Observers: []Observer{cs[1]}},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if builds, _ := BuildStats(); builds != int64(2*len(grid)) {
-		t.Fatalf("built %d CSRs, want %d (distinct windows must not dedup)", builds, 2*len(grid))
+	verifyAll(cs)
+	if st.Builds != int64(2*len(grid)) {
+		t.Fatalf("built %d CSRs, want %d (distinct windows must not dedup)", st.Builds, 2*len(grid))
 	}
-	if d := DedupCount(); d != 0 {
-		t.Fatalf("DedupCount = %d, want 0", d)
+	if st.Dedups != 0 {
+		t.Fatalf("Dedups = %d, want 0", st.Dedups)
 	}
-	if sb := StreamBuildCount(); sb != 2 {
-		t.Fatalf("StreamBuildCount = %d, want 2 (one enumeration per distinct window)", sb)
+	if st.StreamBuilds != 2 {
+		t.Fatalf("StreamBuilds = %d, want 2 (one enumeration per distinct window)", st.StreamBuilds)
 	}
 }

@@ -49,18 +49,24 @@ func TestRunSourceColumnarMatchesStream(t *testing.T) {
 		if err := RunWindowed(context.Background(), s.Clone(), opt, streamSegs...); err != nil {
 			t.Fatal(err)
 		}
-		ResetBuildStats()
 		var st RunStats
 		copt := opt
 		copt.Stats = &st
 		colSegs, colProbes := segs()
+		var cs []*contractObserver
+		for i := range colSegs {
+			checked := checkContracts(t, colSegs[i].Observers...)
+			colSegs[i].Observers = observers(checked)
+			cs = append(cs, checked...)
+		}
 		if err := RunSource(context.Background(), col, copt, colSegs...); err != nil {
 			t.Fatal(err)
 		}
+		verifyAll(cs)
 
-		if SortSkipCount() != 1 || st.SortSkips != 1 || st.Passes != 1 {
-			t.Fatalf("directed=%v: SortSkipCount=%d Stats.SortSkips=%d Passes=%d, want 1/1/1",
-				directed, SortSkipCount(), st.SortSkips, st.Passes)
+		if st.SortSkips != 1 || st.Passes != 1 {
+			t.Fatalf("directed=%v: Stats.SortSkips=%d Passes=%d, want 1/1",
+				directed, st.SortSkips, st.Passes)
 		}
 		for i := range streamProbes {
 			a, b := streamProbes[i], colProbes[i]
@@ -108,25 +114,24 @@ func TestRunSourceWindowedHullUsesSkipIndex(t *testing.T) {
 		{Start: 200, End: 1500, Grid: []int64{50}, Observers: []Observer{newProbe(allNeeds())}},
 		{Start: 1000, End: 2400, Grid: []int64{70}, Observers: []Observer{newProbe(allNeeds())}},
 	}
-	ResetBuildStats()
-	if err := RunSource(context.Background(), col, Options{Workers: 2}, segs...); err != nil {
+	var colStats RunStats
+	if err := RunSource(context.Background(), col, Options{Workers: 2, Stats: &colStats}, segs...); err != nil {
 		t.Fatal(err)
 	}
 	if col.SliceHits() != 1 {
 		t.Fatalf("SliceHits = %d, want 1 (one hull materialisation)", col.SliceHits())
 	}
-	if SortSkipCount() != 1 {
-		t.Fatalf("SortSkipCount = %d, want 1", SortSkipCount())
+	if colStats.SortSkips != 1 {
+		t.Fatalf("SortSkips = %d, want 1", colStats.SortSkips)
 	}
 
 	// The in-memory source sorts; no skip is ever counted.
-	ResetBuildStats()
 	var st RunStats
 	if err := RunWindowed(context.Background(), s.Clone(), Options{Workers: 2, Stats: &st},
 		SegmentObserver{Start: 200, End: 1500, Grid: []int64{50}, Observers: []Observer{newProbe(allNeeds())}}); err != nil {
 		t.Fatal(err)
 	}
-	if SortSkipCount() != 0 || st.SortSkips != 0 {
-		t.Fatalf("stream path counted sort skips: counter=%d stats=%d", SortSkipCount(), st.SortSkips)
+	if st.SortSkips != 0 {
+		t.Fatalf("stream path counted %d sort skips", st.SortSkips)
 	}
 }

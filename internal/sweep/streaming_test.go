@@ -73,16 +73,18 @@ func TestStreamTripRunsDelivery(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				for _, inFlight := range []int{1, 2, 0} {
 					rec := &runRecorder{}
-					ResetBuildStats()
-					err := Run(context.Background(), s, []int64{10, 100}, Options{Directed: directed, Workers: workers, MaxInFlight: inFlight}, rec)
+					c := checkContract(t, rec)
+					var st RunStats
+					err := Run(context.Background(), s, []int64{10, 100}, Options{Directed: directed, Workers: workers, MaxInFlight: inFlight, Stats: &st}, c)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if builds, _ := BuildStats(); builds != 0 {
-						t.Fatalf("streaming-only run built %d period CSRs", builds)
+					c.verify()
+					if st.Builds != 0 {
+						t.Fatalf("streaming-only run built %d period CSRs", st.Builds)
 					}
-					if sb := StreamBuildCount(); sb != 1 {
-						t.Fatalf("StreamBuildCount = %d, want 1", sb)
+					if st.StreamBuilds != 1 {
+						t.Fatalf("StreamBuilds = %d, want 1", st.StreamBuilds)
 					}
 					for i := 1; i < len(rec.dests); i++ {
 						if rec.dests[i] <= rec.dests[i-1] {
@@ -115,12 +117,14 @@ func TestStreamTripRunsReplayFromEager(t *testing.T) {
 	s := seededStream(t, 8, 2, 2000, 4)
 	rec := &runRecorder{}
 	eager := newProbe(Needs{StreamTrips: true})
-	ResetBuildStats()
-	if err := Run(context.Background(), s, []int64{25}, Options{Workers: 3}, rec, eager); err != nil {
+	var st RunStats
+	cs := checkContracts(t, rec, eager)
+	if err := Run(context.Background(), s, []int64{25}, Options{Workers: 3, MaxInFlight: 2, Stats: &st}, observers(cs)...); err != nil {
 		t.Fatal(err)
 	}
-	if sb := StreamBuildCount(); sb != 1 {
-		t.Fatalf("StreamBuildCount = %d, want 1 (eager collection replayed to the streaming consumer)", sb)
+	verifyAll(cs)
+	if st.StreamBuilds != 1 {
+		t.Fatalf("StreamBuilds = %d, want 1 (eager collection replayed to the streaming consumer)", st.StreamBuilds)
 	}
 	flat := eager.view.StreamTrips()
 	if len(rec.flat) != len(flat) {

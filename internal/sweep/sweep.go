@@ -87,9 +87,9 @@ type Options struct {
 	Progress func(ProgressEvent)
 	// Stats, when non-nil, accumulates this run's engine counters: each
 	// pass adds its builds, dedup hits, stream enumerations and observed
-	// periods, and raises MaxResident to its own high-water mark.
-	// Unlike the package-level BuildStats counters it is per-run, so
-	// concurrent runs do not bleed into each other's numbers.
+	// periods, and raises MaxResident to its own high-water mark. The
+	// counters are per-run, so concurrent runs never bleed into each
+	// other's numbers.
 	Stats *RunStats
 }
 
@@ -153,10 +153,10 @@ func (s *Stage) UnmarshalJSON(b []byte) error {
 }
 
 // ProgressEvent is one milestone of an engine run, delivered through
-// Options.Progress. Counter fields are this run's running totals (not
-// the package-level counters), so a consumer can render completion
-// without any engine query. The json tags are the wire contract of the
-// serving layer's SSE progress stream (internal/serve).
+// Options.Progress. Counter fields are this run's running totals, so a
+// consumer can render completion without any engine query. The json
+// tags are the wire contract of the serving layer's SSE progress
+// stream (internal/serve).
 type ProgressEvent struct {
 	// Pass is filled by multi-pass drivers (a bisection runs one engine
 	// pass per refinement round); a single Run leaves it 0.
@@ -456,70 +456,6 @@ type ShardedTripObserver interface {
 	NewTripShard(delta int64, blocks, lanesPerBlock int) TripShard
 }
 
-// Engine instrumentation: periodBuilds counts period CSR constructions
-// since the last ResetBuildStats; periodsAlive tracks the currently
-// resident periods and maxAlive their high-water mark; engineRuns
-// counts engine passes (Run / RunWindowed invocations that reach the
-// sweep stage); periodDedups counts (window, ∆) jobs that joined an
-// already-scheduled coinciding job instead of building their own CSR;
-// streamBuilds counts raw-stream trip enumerations (one per distinct
-// event window that requested stream trips); sortSkips counts engine
-// passes whose source was already in engine order so the
-// sort/canonicalise pass was skipped (pre-sorted columnar streams).
-// Tests use these to assert the build-each-CSR-once,
-// bounded-in-flight, one-pass-per-analysis, dedup and sort-skip
-// guarantees.
-var (
-	periodBuilds atomic.Int64
-	periodsAlive atomic.Int64
-	maxAlive     atomic.Int64
-	engineRuns   atomic.Int64
-	periodDedups atomic.Int64
-	streamBuilds atomic.Int64
-	sortSkips    atomic.Int64
-)
-
-// ResetBuildStats zeroes the engine's build instrumentation.
-func ResetBuildStats() {
-	periodBuilds.Store(0)
-	periodsAlive.Store(0)
-	maxAlive.Store(0)
-	engineRuns.Store(0)
-	periodDedups.Store(0)
-	streamBuilds.Store(0)
-	sortSkips.Store(0)
-}
-
-// BuildStats returns how many period CSR arenas were built since the
-// last ResetBuildStats and the maximum number simultaneously resident.
-func BuildStats() (builds, maxInFlight int64) {
-	return periodBuilds.Load(), maxAlive.Load()
-}
-
-// RunCount returns how many engine passes started since the last
-// ResetBuildStats. A fused multi-segment analysis performs one pass no
-// matter how many windows it serves; per-segment reference paths
-// perform one per window.
-func RunCount() int64 { return engineRuns.Load() }
-
-// DedupCount returns how many (window, ∆) period jobs were served by a
-// coinciding job's single CSR build instead of building their own,
-// since the last ResetBuildStats. BuildStats().builds + DedupCount() is
-// the total number of (segment, ∆) periods observed.
-func DedupCount() int64 { return periodDedups.Load() }
-
-// StreamBuildCount returns how many raw-stream trip enumerations ran
-// since the last ResetBuildStats: one per distinct event window whose
-// observers requested stream trips (eagerly or as runs), however many
-// segments share that window.
-func StreamBuildCount() int64 { return streamBuilds.Load() }
-
-// SortSkipCount returns how many engine passes since the last
-// ResetBuildStats consumed a pre-sorted source (RunSource over a
-// sorted columnar stream) and therefore skipped the engine's
-// sort/canonicalise pass entirely.
-func SortSkipCount() int64 { return sortSkips.Load() }
-
 // Run executes one engine pass over the whole stream: it validates the
 // inputs, prepares the shared stream view (plus the raw-stream trips if
 // any observer needs them), calls every observer's Begin, then
@@ -636,8 +572,7 @@ type engine struct {
 	firstErr error
 
 	// Per-run instrumentation mirrored into Options.Stats and the
-	// Progress events (the package-level counters aggregate across
-	// concurrent runs and cannot serve either).
+	// Progress events.
 	runBuilds        atomic.Int64
 	runAlive         atomic.Int64
 	runMaxAlive      atomic.Int64
@@ -802,19 +737,11 @@ func (e *engine) produce() {
 		v := sp.view()
 		j := &job{spec: sp, numWindows: (v.T1-v.T0)/sp.delta + 1}
 		j.csr = e.buildCSRArena(v.Events, v.T0, sp.delta, &scratch)
-		periodBuilds.Add(1)
 		e.runBuilds.Add(1)
 		runAlive := e.runAlive.Add(1)
 		for {
 			m := e.runMaxAlive.Load()
 			if runAlive <= m || e.runMaxAlive.CompareAndSwap(m, runAlive) {
-				break
-			}
-		}
-		alive := periodsAlive.Add(1)
-		for {
-			m := maxAlive.Load()
-			if alive <= m || maxAlive.CompareAndSwap(m, alive) {
 				break
 			}
 		}
@@ -1036,7 +963,6 @@ func (e *engine) finalize(j *job) {
 		j.weights = nil
 		j.shards = nil
 		j.targetShards = nil
-		periodsAlive.Add(-1)
 		e.runAlive.Add(-1)
 		<-e.sem
 	}()

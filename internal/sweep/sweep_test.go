@@ -83,12 +83,14 @@ func TestRunBuildsEachPeriodOnce(t *testing.T) {
 	s := seededStream(t, 8, 3, 5000, 1)
 	grid := []int64{1, 7, 60, 500, 2500, 5000}
 	for _, maxInFlight := range []int{0, 1, 2} {
-		ResetBuildStats()
+		var st RunStats
 		obs := newProbe(allNeeds())
-		if err := Run(context.Background(), s, grid, Options{MaxInFlight: maxInFlight, Workers: 4}, obs); err != nil {
+		c := checkContract(t, obs)
+		if err := Run(context.Background(), s, grid, Options{MaxInFlight: maxInFlight, Workers: 4, Stats: &st}, c); err != nil {
 			t.Fatal(err)
 		}
-		builds, alive := BuildStats()
+		c.verify()
+		builds, alive := st.Builds, st.MaxResident
 		if builds != int64(len(grid)) {
 			t.Fatalf("MaxInFlight=%d: built %d period CSRs for %d grid entries", maxInFlight, builds, len(grid))
 		}
@@ -109,13 +111,15 @@ func TestRunBuildsEachPeriodOnce(t *testing.T) {
 
 func TestStreamOnlyObserversBuildNothing(t *testing.T) {
 	s := seededStream(t, 6, 2, 1000, 2)
-	ResetBuildStats()
+	var st RunStats
 	obs := newProbe(Needs{StreamTrips: true})
-	if err := Run(context.Background(), s, []int64{10, 100}, Options{}, obs); err != nil {
+	c := checkContract(t, obs)
+	if err := Run(context.Background(), s, []int64{10, 100}, Options{Workers: 2, MaxInFlight: 2, Stats: &st}, c); err != nil {
 		t.Fatal(err)
 	}
-	if builds, _ := BuildStats(); builds != 0 {
-		t.Fatalf("stream-only run built %d period CSRs", builds)
+	c.verify()
+	if st.Builds != 0 {
+		t.Fatalf("stream-only run built %d period CSRs", st.Builds)
 	}
 	if len(obs.view.StreamTrips()) == 0 {
 		t.Fatal("no stream trips collected")

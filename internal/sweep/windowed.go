@@ -18,7 +18,8 @@ package sweep
 // period jobs that coincide across segments — e.g. a homogeneous
 // stream's single activity segment versus the global scope — build one
 // CSR and run one backward sweep whose products fan out to every
-// requesting segment. DedupCount and StreamBuildCount instrument both.
+// requesting segment. RunStats.Dedups and RunStats.StreamBuilds
+// instrument both.
 
 import (
 	"context"
@@ -61,7 +62,8 @@ func (seg SegmentObserver) windowed() bool { return seg.Start < seg.End }
 // demand) or a pre-sorted columnar view (*linkstream.Columnar) whose
 // EngineEvents materialises only the requested time span — windowed
 // passes over a mapped file touch only their span's pages — and skips
-// the engine's sort pass entirely (SortSkipCount instruments this).
+// the engine's sort pass entirely (RunStats.SortSkips instruments
+// this).
 type StreamSource interface {
 	NumNodes() int
 	NumEvents() int
@@ -87,7 +89,7 @@ type streamGroup struct {
 // segment: the stream is sorted and canonicalised once, each distinct
 // (window, ∆) CSR arena is built and swept exactly once — segments
 // requesting the same window and period share the one build, see
-// DedupCount — and at most Options.MaxInFlight periods are resident at
+// RunStats.Dedups — and at most Options.MaxInFlight periods are resident at
 // any moment across all segments. Each segment's observers receive
 // exactly what a Run over the segment's sub-stream would hand them (bit
 // for bit — the engine-products brute-force tests pin this), so fusing
@@ -109,7 +111,7 @@ func RunWindowed(ctx context.Context, s *linkstream.Stream, opt Options, segment
 // RunSource is RunWindowed over any StreamSource. With an in-memory
 // stream it is exactly RunWindowed; with a sorted columnar view the
 // engine's sort/canonicalise pass is skipped (counted by
-// SortSkipCount and RunStats.SortSkips) and only the hull of the
+// RunStats.SortSkips) and only the hull of the
 // registered segments' windows is ever materialised — the rest of the
 // file is never read.
 func RunSource(ctx context.Context, src StreamSource, opt Options, segments ...SegmentObserver) error {
@@ -179,10 +181,6 @@ func RunSource(ctx context.Context, src StreamSource, opt Options, segments ...S
 	if err != nil {
 		return err
 	}
-	if preSorted {
-		sortSkips.Add(1)
-	}
-	engineRuns.Add(1)
 	n := src.NumNodes()
 
 	e := &engine{ctx: ctx, opt: opt, n: n, width: temporal.ResolveLaneWidth(opt.LaneWidth)}
@@ -290,7 +288,6 @@ func RunSource(ctx context.Context, src StreamSource, opt Options, segments ...S
 			continue
 		}
 		c := e.buildCSRArena(events[g.lo:g.hi], 0, 1, &scratch)
-		streamBuilds.Add(1)
 		e.streamBuilds++
 		lanes := temporal.CollectTripLanes(cfg, c)
 		e.recycleCSR(c)
@@ -368,7 +365,6 @@ func RunSource(ctx context.Context, src StreamSource, opt Options, segments ...S
 			g.lanes = nil
 		} else {
 			c := e.buildCSRArena(events[g.lo:g.hi], 0, 1, &scratch)
-			streamBuilds.Add(1)
 			e.streamBuilds++
 			err := streamTripRuns(ctx, c, n, opt, deliver)
 			e.recycleCSR(c)
@@ -402,7 +398,6 @@ func RunSource(ctx context.Context, src StreamSource, opt Options, segments ...S
 				specAt[k] = sp
 				specs = append(specs, sp)
 			} else {
-				periodDedups.Add(1)
 				e.dedups++
 			}
 			sp.targets = append(sp.targets, jobTarget{sc: sc, idx: i})

@@ -165,16 +165,19 @@ func TestWindowedViewsAndRouting(t *testing.T) {
 		{Start: 2000, End: 4000, Grid: []int64{9}},
 	}
 	probes := make([]*probe, len(segments))
+	cs := make([]*contractObserver, len(segments))
 	for i := range segments {
 		probes[i] = newProbe(Needs{Trips: true, StreamTrips: true})
-		segments[i].Observers = []Observer{probes[i]}
+		cs[i] = checkContract(t, probes[i])
+		segments[i].Observers = []Observer{cs[i]}
 	}
-	ResetBuildStats()
-	if err := RunWindowed(context.Background(), s, Options{Workers: 2}, segments...); err != nil {
+	var st RunStats
+	if err := RunWindowed(context.Background(), s, Options{Workers: 2, MaxInFlight: 2, Stats: &st}, segments...); err != nil {
 		t.Fatal(err)
 	}
-	if runs := RunCount(); runs != 1 {
-		t.Fatalf("RunCount = %d, want 1", runs)
+	verifyAll(cs)
+	if st.Passes != 1 {
+		t.Fatalf("Passes = %d, want 1", st.Passes)
 	}
 	wantBuilds := int64(0)
 	for i, seg := range segments {
@@ -215,8 +218,8 @@ func TestWindowedViewsAndRouting(t *testing.T) {
 			t.Fatalf("segment %d: stream trips not restricted to the window", i)
 		}
 	}
-	if builds, _ := BuildStats(); builds != wantBuilds {
-		t.Fatalf("built %d CSRs, want %d (each (segment, delta) exactly once)", builds, wantBuilds)
+	if st.Builds != wantBuilds {
+		t.Fatalf("built %d CSRs, want %d (each (segment, delta) exactly once)", st.Builds, wantBuilds)
 	}
 }
 

@@ -3,9 +3,9 @@ package repro
 // This file defines the functional options of the plan/run lifecycle:
 // repro.NewAnalysis(stream, ...Option) freezes them into an immutable
 // Plan, Plan.Run(ctx) executes the plan as fused sweep-engine passes.
-// Every knob the deprecated entry points spread over per-package option
-// structs (core.Options, classic.Options, validate.Options,
-// adaptive.Config, sweep.Options) maps onto exactly one Option here, so
+// Every knob of the per-package option structs (core.Options,
+// classic.Options, validate.Options, adaptive.Config, sweep.Options)
+// maps onto exactly one Option here, so
 // any combination of metrics, windows and policies composes in a single
 // request.
 
@@ -352,9 +352,8 @@ func WithObservers(observers ...SweepObserver) Option {
 	}
 }
 
-// WithSegments registers raw windowed observer sets (the
-// MultiSweepWindowed unit of registration) to run in the plan's engine
-// pass, for callers that need full control over per-window grids and
+// WithSegments registers raw windowed observer sets (see
+// SegmentObserver) to run in the plan's engine pass, for callers that need full control over per-window grids and
 // observers. Most callers want WithWindows instead.
 func WithSegments(segments ...SegmentObserver) Option {
 	return func(c *planConfig) error {

@@ -25,9 +25,9 @@ func uniformWorkload(t testing.TB) *Stream {
 func TestPipelineEndToEnd(t *testing.T) {
 	s := uniformWorkload(t)
 
-	res, err := SaturationScale(s, Options{Grid: LogGrid(1, 50_000, 20), Refine: 4})
-	if err != nil {
-		t.Fatal(err)
+	res, ok := runPlan(t, s, WithGrid(LogGrid(1, 50_000, 20)...), WithRefine(4)).Scale()
+	if !ok {
+		t.Fatal("plan reported no scale")
 	}
 	if res.Gamma <= 1 || res.Gamma >= 50_000 {
 		t.Fatalf("gamma = %d not interior", res.Gamma)
@@ -66,26 +66,17 @@ func TestPipelineEndToEnd(t *testing.T) {
 	}
 
 	// Classical properties drift monotonically (Figure 2 story).
-	classic, err := ClassicProperties(s, []int64{10, 50_000}, false, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	classic := runPlan(t, s, WithMetrics(MetricClassic), WithGrid(10, 50_000)).Classic()
 	if classic[0].MeanDensity >= classic[1].MeanDensity {
 		t.Fatal("density should grow with delta")
 	}
 
 	// Validation measures (Figure 8 story).
-	loss, err := TransitionLoss(s, []int64{10, res.Gamma, 50_000}, false, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loss := runPlan(t, s, WithMetrics(MetricTransitionLoss), WithGrid(10, res.Gamma, 50_000)).TransitionLoss()
 	if !(loss[0].Lost < loss[1].Lost && loss[1].Lost < loss[2].Lost) {
 		t.Fatalf("loss not increasing: %+v", loss)
 	}
-	elong, err := Elongation(s, []int64{10, res.Gamma}, false, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	elong := runPlan(t, s, WithMetrics(MetricElongation), WithGrid(10, res.Gamma)).Elongation()
 	if elong[0].MeanElongation > elong[1].MeanElongation {
 		t.Fatalf("elongation should rise towards gamma: %+v", elong)
 	}

@@ -368,15 +368,14 @@ func benchScaleSearch(b *testing.B, speculate bool) {
 func BenchmarkScaleSearchSerial(b *testing.B)      { benchScaleSearch(b, false) }
 func BenchmarkScaleSearchSpeculative(b *testing.B) { benchScaleSearch(b, true) }
 
-// BenchmarkStreamingTrips vs BenchmarkStreamingTripsReference: the
-// streaming raw-stream trip pipeline feeding the Section 8 validation
-// observers (per-destination runs merged into the incremental pair
-// index, two-hop spans kept, per-period scans sharded across the worker
-// pool) against the retained eager path (flat stream trip slice,
-// whole-period TripBlocks, sequential scan). Results are bit-identical;
-// the delta is residency: the streaming run's peak trip allocations
-// scale with the in-flight runs (lanes recycled block by block), not
-// with the stream's total trip population.
+// BenchmarkStreamingTrips: the streaming raw-stream trip pipeline
+// feeding the Section 8 validation observers (per-destination runs
+// merged into the incremental pair index, two-hop spans kept,
+// per-period scans sharded across the worker pool). Its peak trip
+// allocations scale with the in-flight runs (lanes recycled block by
+// block), not with the stream's total trip population. The eager
+// counterpart, BenchmarkStreamingTripsReference, lives in
+// internal/validate beside the test-only reference observers it runs.
 func BenchmarkStreamingTrips(b *testing.B) {
 	s := irvineStream(b)
 	grid := core.LogGrid(3600, s.Duration(), 6)
@@ -384,19 +383,6 @@ func BenchmarkStreamingTrips(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		loss := validate.NewTransitionLossObserver()
 		elong := validate.NewElongationObserver()
-		if err := sweep.Run(context.Background(), s, grid, sweep.Options{MaxInFlight: 2}, loss, elong); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkStreamingTripsReference(b *testing.B) {
-	s := irvineStream(b)
-	grid := core.LogGrid(3600, s.Duration(), 6)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		loss := validate.NewTransitionLossObserverReference()
-		elong := validate.NewElongationObserverReference()
 		if err := sweep.Run(context.Background(), s, grid, sweep.Options{MaxInFlight: 2}, loss, elong); err != nil {
 			b.Fatal(err)
 		}

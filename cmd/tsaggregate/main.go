@@ -145,7 +145,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 
 	if *trips {
 		cfg := temporal.Config{N: g.N, Directed: *directed}
-		occ := temporal.Occupancies(cfg, temporal.SeriesLayers(g))
+		occ := temporal.OccupanciesCSR(cfg, temporal.SeriesCSR(g))
 		var sum float64
 		ones := 0
 		for _, o := range occ {

@@ -148,7 +148,7 @@ func At(s *linkstream.Stream, delta int64, opt Options) (Point, error) {
 		return Point{}, err
 	}
 	cfg := temporal.Config{N: g.N, Directed: opt.Directed, Workers: opt.Workers}
-	d := temporal.Distances(cfg, temporal.SeriesLayers(g), 0, 1)
+	d := temporal.DistancesCSR(cfg, temporal.SeriesCSR(g), 0, 1)
 	return Point{
 		Delta:           delta,
 		MeanDensity:     st.MeanDensity,

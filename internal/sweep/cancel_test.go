@@ -147,9 +147,11 @@ func TestCancelMidSweepWindowed(t *testing.T) {
 	// Reference run, uncancelled.
 	refGlobal := &cancellingObserver{cancelAt: math.MaxInt64}
 	refWin := &cancellingObserver{cancelAt: math.MaxInt64}
-	if err := RunWindowed(context.Background(), s, Options{Workers: 4, MaxInFlight: 2}, segments(refGlobal, refWin)...); err != nil {
+	ref := checkContracts(t, refGlobal, refWin)
+	if err := RunWindowed(context.Background(), s, Options{Workers: 4, MaxInFlight: 2}, segments(ref[0], ref[1])...); err != nil {
 		t.Fatal(err)
 	}
+	verifyAll(ref)
 
 	rng := rand.New(rand.NewSource(41))
 	baseline := runtime.NumGoroutine()
@@ -158,8 +160,10 @@ func TestCancelMidSweepWindowed(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		global := &cancellingObserver{cancelAt: int64(1 + rng.Intn(len(grid))), cancel: cancel}
 		win := &cancellingObserver{cancelAt: math.MaxInt64, cancel: cancel}
+		cs := checkContracts(t, global, win)
 		err := RunWindowed(ctx, s, Options{Workers: 1 + rng.Intn(4), MaxInFlight: 1 + rng.Intn(3)},
-			segments(global, win)...)
+			segments(cs[0], cs[1])...)
+		verifyRun(err, cs...)
 		switch err {
 		case context.Canceled:
 			// The common case: the engine noticed the abort while work
@@ -236,7 +240,9 @@ func TestCancelDuringStreamingTripRuns(t *testing.T) {
 		for _, cancelAt := range []int{1, 3, 7} {
 			ctx, cancel := context.WithCancel(context.Background())
 			obs := &cancellingRunObserver{cancelAt: cancelAt, cancel: cancel}
-			err := Run(ctx, s, grid, Options{Workers: workers, MaxInFlight: 2}, obs)
+			c := checkContract(t, obs)
+			err := Run(ctx, s, grid, Options{Workers: workers, MaxInFlight: 2}, c)
+			verifyRun(err, c)
 			if err != context.Canceled {
 				t.Fatalf("workers=%d cancelAt=%d: err = %v, want context.Canceled", workers, cancelAt, err)
 			}
@@ -260,10 +266,12 @@ func TestObserverErrorRecyclesLanes(t *testing.T) {
 	temporal.ResetTripLaneStats()
 	for iter := 0; iter < 4; iter++ {
 		obs := &failingObserver{probe: *newProbe(allNeeds()), failAt: iter}
-		err := Run(context.Background(), s, grid, Options{Workers: 3, MaxInFlight: 2}, obs)
+		c := checkContract(t, obs)
+		err := Run(context.Background(), s, grid, Options{Workers: 3, MaxInFlight: 2}, c)
 		if err == nil {
 			t.Fatal("expected observer error")
 		}
+		verifyRun(err, c)
 	}
 	waitGoroutines(t, baseline)
 	assertLaneBalance(t, "observer error")
@@ -291,9 +299,11 @@ func TestRunStatsAndProgress(t *testing.T) {
 	}
 	probeObs := newProbe(Needs{Occupancies: true, Trips: true})
 	loss := &cancellingRunObserver{cancelAt: math.MaxInt64} // streaming consumer, never cancels
-	if err := Run(context.Background(), s, grid, opt, probeObs, loss); err != nil {
+	cs := checkContracts(t, probeObs, loss)
+	if err := Run(context.Background(), s, grid, opt, observers(cs)...); err != nil {
 		t.Fatal(err)
 	}
+	verifyAll(cs)
 	if stats.Passes != 1 {
 		t.Fatalf("Passes = %d, want 1", stats.Passes)
 	}
@@ -340,49 +350,58 @@ func TestRunStatsAndProgress(t *testing.T) {
 	}
 }
 
-// errAfterCtx reports cancellation from its n-th Err() poll on, without
-// a Done channel — it pins cancellation at an exact engine checkpoint.
-type errAfterCtx struct {
-	context.Context
-	calls atomic.Int64
-	after int64
+// finishCancelObserver is a streaming-only trip consumer that cancels
+// the run from FinishTripRuns: after its own group's enumeration has
+// handed out lanes, before the next group's begins.
+type finishCancelObserver struct {
+	cancel context.CancelFunc
+	runs   int
 }
 
-func (c *errAfterCtx) Err() error {
-	if c.calls.Add(1) > c.after {
-		return context.Canceled
+func (o *finishCancelObserver) Needs() Needs                { return Needs{StreamTripRuns: true} }
+func (o *finishCancelObserver) Begin(*StreamView) error     { return nil }
+func (o *finishCancelObserver) ObservePeriod(*Period) error { return nil }
+func (o *finishCancelObserver) ObserveTripRun(int32, []temporal.Trip) error {
+	o.runs++
+	return nil
+}
+func (o *finishCancelObserver) FinishTripRuns() error {
+	if o.cancel != nil {
+		o.cancel()
 	}
 	return nil
 }
 
-// eagerStreamingObserver declares both trip registration modes, which
-// makes the engine stash each group's eager lanes for streaming replay.
-type eagerStreamingObserver struct{}
-
-func (eagerStreamingObserver) Needs() Needs                                      { return Needs{StreamTrips: true, StreamTripRuns: true} }
-func (eagerStreamingObserver) Begin(v *StreamView) error                         { return nil }
-func (eagerStreamingObserver) ObservePeriod(p *Period) error                     { return nil }
-func (eagerStreamingObserver) ObserveTripRun(d int32, run []temporal.Trip) error { return nil }
-func (eagerStreamingObserver) FinishTripRuns() error                             { return nil }
-
-// TestCancelBetweenStreamGroupsRecyclesReplayLanes pins the leak fixed
-// in this PR: lanes kept for streaming replay by an earlier group must
-// be recycled when the run is cancelled before a later group collects.
+// TestCancelBetweenStreamGroupsRecyclesReplayLanes cancels a windowed
+// run between two stream groups' trip enumerations: every lane the
+// first group handed out must be back in the pool, no worker may
+// outlive the call, and the second group must never enumerate.
 func TestCancelBetweenStreamGroupsRecyclesReplayLanes(t *testing.T) {
 	s := seededStream(t, 12, 4, 4_000, 23)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	first := &finishCancelObserver{cancel: cancel}
+	second := &finishCancelObserver{}
+	cs := checkContracts(t, first, second)
 	segs := []SegmentObserver{
-		{Start: 0, End: 2_000, Grid: []int64{10}, Observers: []Observer{eagerStreamingObserver{}}},
-		{Start: 2_000, End: 4_000, Grid: []int64{10}, Observers: []Observer{eagerStreamingObserver{}}},
+		{Start: 0, End: 2_000, Grid: []int64{10}, Observers: []Observer{cs[0]}},
+		{Start: 2_000, End: 4_000, Grid: []int64{10}, Observers: []Observer{cs[1]}},
 	}
+	baseline := runtime.NumGoroutine()
 	temporal.ResetTripLaneStats()
-	// Err() polls: one at entry, one atop each group's collection — the
-	// third poll cancels after group 1 has stashed its replay lanes.
-	ctx := &errAfterCtx{Context: context.Background(), after: 2}
-	if err := RunWindowed(ctx, s, Options{}, segs...); err != context.Canceled {
+	if err := RunWindowed(ctx, s, Options{Workers: 2, MaxInFlight: 2}, segs...); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if handed, _ := temporal.TripLaneStats(); handed == 0 {
-		t.Fatal("test did not exercise the replay-lane path: no lanes were handed out")
+	verifyRun(context.Canceled, cs...)
+	if first.runs == 0 {
+		t.Fatal("test did not exercise the first group's enumeration: no runs delivered")
 	}
+	if second.runs != 0 {
+		t.Fatalf("second group delivered %d runs after the cancel", second.runs)
+	}
+	if handed, _ := temporal.TripLaneStats(); handed == 0 {
+		t.Fatal("test did not exercise the lane pool: no lanes were handed out")
+	}
+	waitGoroutines(t, baseline)
 	assertLaneBalance(t, "cancel between stream groups")
 }

@@ -115,10 +115,27 @@ func (c *contractObserver) ObservePeriod(p *Period) error {
 // trip runs finished when requested, and no grid index left unobserved.
 func (c *contractObserver) verify() {
 	c.t.Helper()
+	c.check(true)
+}
+
+// verifyAborted checks the end state of a cancelled or failed run, where
+// periods and FinishTripRuns may legitimately be missing: Begin exactly
+// once. Duplicate period indices and out-of-order trip runs are caught
+// as they are delivered, on every run.
+func (c *contractObserver) verifyAborted() {
+	c.t.Helper()
+	c.check(false)
+}
+
+func (c *contractObserver) check(complete bool) {
+	c.t.Helper()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.begins != 1 {
 		c.t.Errorf("%T: Begin called %d times, want 1", c.inner, c.begins)
+		return
+	}
+	if !complete {
 		return
 	}
 	if c.inner.Needs().StreamTripRuns && !c.finished {
@@ -135,6 +152,19 @@ func (c *contractObserver) verify() {
 func verifyAll(cs []*contractObserver) {
 	for _, c := range cs {
 		c.verify()
+	}
+}
+
+// verifyRun checks cs after a run that returned err: the full contract
+// when the run completed, the aborted-run contract when it was
+// cancelled or failed.
+func verifyRun(err error, cs ...*contractObserver) {
+	for _, c := range cs {
+		if err == nil {
+			c.verify()
+		} else {
+			c.verifyAborted()
+		}
 	}
 }
 

@@ -45,7 +45,7 @@ func TestWindowedDedupCoincidingJobs(t *testing.T) {
 			t.Fatalf("period %d products diverge between coinciding segments:\n%+v\n%+v", i, pa, pb)
 		}
 	}
-	if !sameTripMultiset(a.view.StreamTrips(), b.view.StreamTrips()) {
+	if !sameTripMultiset(a.streamTrips, b.streamTrips) {
 		t.Fatal("coinciding segments should share the stream trip enumeration")
 	}
 }
@@ -98,8 +98,8 @@ func TestWindowedDedupPartialOverlap(t *testing.T) {
 func TestWindowedNoDedupAcrossWindows(t *testing.T) {
 	s := seededStream(t, 7, 3, 4000, 23)
 	grid := []int64{7, 70}
-	a := newProbe(Needs{Trips: true, StreamTrips: true})
-	b := newProbe(Needs{Trips: true, StreamTrips: true})
+	a := newProbe(Needs{Trips: true, StreamTripRuns: true})
+	b := newProbe(Needs{Trips: true, StreamTripRuns: true})
 	var st RunStats
 	cs := checkContracts(t, a, b)
 	err := RunWindowed(context.Background(), s, Options{Workers: 2, MaxInFlight: 2, Stats: &st},

@@ -43,11 +43,13 @@ func TestRunLaneWidthEquivalence(t *testing.T) {
 		t.Helper()
 		occ := &cancellingObserver{cancelAt: math.MaxInt64}
 		rec := &runRecorder{}
+		cs := checkContracts(t, occ, rec)
 		err := Run(context.Background(), s, grid,
-			Options{Workers: workers, MaxInFlight: 2, LaneWidth: width}, occ, rec)
+			Options{Workers: workers, MaxInFlight: 2, LaneWidth: width}, observers(cs)...)
 		if err != nil {
 			t.Fatal(err)
 		}
+		verifyAll(cs)
 		return fingerprint{sums: occ.sums, counts: occ.counts, trips: append([]temporal.Trip(nil), rec.flat...)}
 	}
 
@@ -77,9 +79,13 @@ func TestRunLaneWidthEquivalence(t *testing.T) {
 // TestRunLaneWidthValidation rejects unsupported widths up front.
 func TestRunLaneWidthValidation(t *testing.T) {
 	s := seededStream(t, 5, 2, 200, 62)
-	err := Run(context.Background(), s, []int64{10}, Options{LaneWidth: 3}, newProbe(Needs{Occupancies: true}))
+	c := checkContract(t, newProbe(Needs{Occupancies: true}))
+	err := Run(context.Background(), s, []int64{10}, Options{Workers: 2, MaxInFlight: 2, LaneWidth: 3}, c)
 	if err == nil || !strings.Contains(err.Error(), "lane width") {
 		t.Fatalf("err = %v, want unsupported lane width", err)
+	}
+	if c.begins != 0 {
+		t.Fatalf("rejected run called Begin %d times, want 0", c.begins)
 	}
 }
 
@@ -93,11 +99,12 @@ func TestArenaBalanceAfterRun(t *testing.T) {
 	var last RunStats
 	for iter := 0; iter < 3; iter++ {
 		var stats RunStats
-		err := Run(context.Background(), s, grid, Options{Workers: 2, MaxInFlight: 2, Stats: &stats},
-			newProbe(Needs{Occupancies: true, Trips: true}))
+		c := checkContract(t, newProbe(Needs{Occupancies: true, Trips: true}))
+		err := Run(context.Background(), s, grid, Options{Workers: 2, MaxInFlight: 2, Stats: &stats}, c)
 		if err != nil {
 			t.Fatal(err)
 		}
+		c.verify()
 		if stats.ArenaHanded == 0 {
 			t.Fatal("run handed no arenas — period builds are not arena-backed")
 		}
@@ -125,12 +132,14 @@ func TestArenaBalanceAfterCancel(t *testing.T) {
 	for iter := 0; iter < 12; iter++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		obs := &cancellingObserver{cancelAt: int64(1 + rng.Intn(len(grid))), cancel: cancel}
+		c := checkContract(t, obs)
 		var stats RunStats
 		err := Run(ctx, s, grid,
-			Options{Workers: 1 + rng.Intn(4), MaxInFlight: 1 + rng.Intn(3), Stats: &stats}, obs)
+			Options{Workers: 1 + rng.Intn(4), MaxInFlight: 1 + rng.Intn(3), Stats: &stats}, c)
 		if err != nil && err != context.Canceled {
 			t.Fatalf("iter %d: err = %v", iter, err)
 		}
+		verifyRun(err, c)
 		if stats.ArenaHanded != stats.ArenaRecycled {
 			t.Fatalf("iter %d: cancelled run handed %d arenas, recycled %d", iter, stats.ArenaHanded, stats.ArenaRecycled)
 		}
@@ -147,10 +156,12 @@ func TestArenaBalanceAfterObserverError(t *testing.T) {
 	for iter := 0; iter < 4; iter++ {
 		var stats RunStats
 		obs := &failingObserver{probe: *newProbe(allNeeds()), failAt: iter}
-		err := Run(context.Background(), s, grid, Options{Workers: 3, MaxInFlight: 2, Stats: &stats}, obs)
+		c := checkContract(t, obs)
+		err := Run(context.Background(), s, grid, Options{Workers: 3, MaxInFlight: 2, Stats: &stats}, c)
 		if err == nil {
 			t.Fatal("expected observer error")
 		}
+		verifyRun(err, c)
 		if stats.ArenaHanded != stats.ArenaRecycled {
 			t.Fatalf("iter %d: failed run handed %d arenas, recycled %d", iter, stats.ArenaHanded, stats.ArenaRecycled)
 		}

@@ -80,7 +80,7 @@ func TestRunSourceColumnarMatchesStream(t *testing.T) {
 						a.view.Events[j], b.view.Events[j])
 				}
 			}
-			if !sameTripMultiset(a.view.StreamTrips(), b.view.StreamTrips()) {
+			if !sameTripMultiset(a.streamTrips, b.streamTrips) {
 				t.Fatalf("directed=%v segment %d: stream trips differ", directed, i)
 			}
 			for j := range a.periods {

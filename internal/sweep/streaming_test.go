@@ -61,7 +61,7 @@ func (o *runRecorder) ObservePeriod(p *Period) error {
 
 // TestStreamTripRunsDelivery checks the streaming enumeration contract
 // for several worker counts and in-flight bounds: destinations arrive
-// strictly increasing, runs concatenate to exactly the eager
+// strictly increasing, runs concatenate to exactly the flat
 // destination-major enumeration, and Finish precedes every period.
 func TestStreamTripRunsDelivery(t *testing.T) {
 	for _, directed := range []bool{false, true} {
@@ -110,29 +110,32 @@ func TestStreamTripRunsDelivery(t *testing.T) {
 	}
 }
 
-// TestStreamTripRunsReplayFromEager checks that a segment mixing an
-// eager (Needs.StreamTrips) and a streaming consumer still enumerates
-// the stream once, replaying the eager lanes as runs.
+// TestStreamTripRunsReplayFromEager checks that a segment with two
+// trip-run consumers enumerates the stream once and hands both the same
+// runs: the probe's concatenation is exactly the recorder's trips, and
+// both equal the flat destination-major collection.
 func TestStreamTripRunsReplayFromEager(t *testing.T) {
 	s := seededStream(t, 8, 2, 2000, 4)
 	rec := &runRecorder{}
-	eager := newProbe(Needs{StreamTrips: true})
+	collector := newProbe(Needs{StreamTripRuns: true})
 	var st RunStats
-	cs := checkContracts(t, rec, eager)
+	cs := checkContracts(t, rec, collector)
 	if err := Run(context.Background(), s, []int64{25}, Options{Workers: 3, MaxInFlight: 2, Stats: &st}, observers(cs)...); err != nil {
 		t.Fatal(err)
 	}
 	verifyAll(cs)
 	if st.StreamBuilds != 1 {
-		t.Fatalf("StreamBuilds = %d, want 1 (eager collection replayed to the streaming consumer)", st.StreamBuilds)
+		t.Fatalf("StreamBuilds = %d, want 1 (one enumeration shared by both consumers)", st.StreamBuilds)
 	}
-	flat := eager.view.StreamTrips()
-	if len(rec.flat) != len(flat) {
-		t.Fatalf("streaming consumer saw %d trips, eager slice has %d", len(rec.flat), len(flat))
-	}
-	for i := range flat {
-		if rec.flat[i] != flat[i] {
-			t.Fatalf("trip %d: replayed %+v != eager %+v", i, rec.flat[i], flat[i])
+	flat := temporal.CollectTripsCSR(temporal.Config{N: s.NumNodes(), Workers: 1}, temporal.StreamCSR(s, false))
+	for _, got := range [][]temporal.Trip{rec.flat, collector.streamTrips} {
+		if len(got) != len(flat) {
+			t.Fatalf("consumer saw %d trips, flat collection has %d", len(got), len(flat))
+		}
+		for i := range flat {
+			if got[i] != flat[i] {
+				t.Fatalf("trip %d: delivered %+v != flat %+v", i, got[i], flat[i])
+			}
 		}
 	}
 }
@@ -230,7 +233,7 @@ func TestShardedTripObserver(t *testing.T) {
 // streaming extensions.
 func TestStreamTripRunsValidation(t *testing.T) {
 	s := seededStream(t, 4, 2, 100, 6)
-	err := Run(context.Background(), s, []int64{10}, Options{}, newProbe(Needs{StreamTripRuns: true}))
+	err := Run(context.Background(), s, []int64{10}, Options{}, observerFunc{needs: Needs{StreamTripRuns: true}})
 	if err == nil || !strings.Contains(err.Error(), "TripRunObserver") {
 		t.Fatalf("StreamTripRuns without TripRunObserver: err = %v", err)
 	}

@@ -237,16 +237,11 @@ type Needs struct {
 	// WindowStats requests Period.Windows, the per-snapshot classical
 	// properties.
 	WindowStats bool
-	// StreamTrips requests StreamView.StreamTrips, the minimal trips of
-	// the raw stream, collected eagerly into one flat slice before any
-	// Begin. This is the retained eager path; observers that can score
-	// trips incrementally should declare StreamTripRuns instead, which
-	// never materialises the full trip population.
-	StreamTrips bool
-	// StreamTripRuns requests the streaming raw-stream trip pipeline:
-	// the observer (which must implement TripRunObserver) receives the
-	// stream's minimal trips as per-destination runs in strictly
-	// increasing destination order, after Begin and before any period.
+	// StreamTripRuns requests the minimal trips of the raw stream (layer
+	// per distinct timestamp, raw timestamps as keys): the observer
+	// (which must implement TripRunObserver) receives them as
+	// per-destination runs in strictly increasing destination order,
+	// after Begin and before any period.
 	// Runs are recycled as soon as every consumer has seen them, so at
 	// most Options.MaxInFlight destination blocks of trips are resident
 	// at once — O(in-flight runs), not O(total trips).
@@ -283,7 +278,6 @@ func (n Needs) union(o Needs) Needs {
 		Occupancies:    n.Occupancies || o.Occupancies,
 		Distances:      n.Distances || o.Distances,
 		WindowStats:    n.WindowStats || o.WindowStats,
-		StreamTrips:    n.StreamTrips || o.StreamTrips,
 		StreamTripRuns: n.StreamTripRuns || o.StreamTripRuns,
 		TripShards:     n.TripShards || o.TripShards,
 		Snapshots:      n.Snapshots || o.Snapshots,
@@ -305,8 +299,9 @@ func (n Needs) sweeps() bool {
 
 // StreamView is the stream-level context handed to Observer.Begin: the
 // sorted (and, for undirected runs, canonicalised) event buffer shared
-// by every period, the candidate grid, and — when requested — the
-// minimal trips of the raw stream.
+// by every period and the candidate grid. The raw stream's minimal
+// trips are not part of it; they stream to Needs.StreamTripRuns
+// consumers after Begin.
 type StreamView struct {
 	N        int
 	Directed bool
@@ -315,14 +310,7 @@ type StreamView struct {
 	// Events is sorted by time and canonicalised (U < V) for
 	// undirected runs. Observers must not modify it.
 	Events []linkstream.Event
-
-	streamTrips []temporal.Trip
 }
-
-// StreamTrips returns the minimal trips of the raw stream (layer per
-// distinct timestamp, raw timestamps as keys). It is non-nil only for
-// runs whose observers declared Needs.StreamTrips.
-func (v *StreamView) StreamTrips() []temporal.Trip { return v.streamTrips }
 
 // Period is the per-period view handed to Observer.ObservePeriod. Only
 // the products requested through Needs are populated; everything the

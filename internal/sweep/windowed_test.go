@@ -167,7 +167,7 @@ func TestWindowedViewsAndRouting(t *testing.T) {
 	probes := make([]*probe, len(segments))
 	cs := make([]*contractObserver, len(segments))
 	for i := range segments {
-		probes[i] = newProbe(Needs{Trips: true, StreamTrips: true})
+		probes[i] = newProbe(Needs{Trips: true, StreamTripRuns: true})
 		cs[i] = checkContract(t, probes[i])
 		segments[i].Observers = []Observer{cs[i]}
 	}
@@ -214,7 +214,7 @@ func TestWindowedViewsAndRouting(t *testing.T) {
 		// Per-segment stream trips come from the segment's slice alone.
 		subCSR := temporal.StreamCSR(s.SliceTime(lo, hi), false)
 		wantStream := temporal.CollectTripsCSR(temporal.Config{N: s.NumNodes(), Workers: 1}, subCSR)
-		if !sameTripMultiset(v.StreamTrips(), wantStream) {
+		if !sameTripMultiset(probes[i].streamTrips, wantStream) {
 			t.Fatalf("segment %d: stream trips not restricted to the window", i)
 		}
 	}

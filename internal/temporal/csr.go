@@ -4,9 +4,11 @@ package temporal
 // contiguous []int32 endpoint array plus per-layer offsets, built once
 // per aggregation period, so the inner relax loop of the backward sweep
 // walks cache-linear memory instead of []Layer -> []snapshot.Edge
-// pointer chains. The slice-based sweep in temporal.go is retained as
-// the reference implementation for equivalence tests; every public
-// entry point routes through the CSR engine.
+// pointer chains — and the blocked backward sweep that runs on it, the
+// engine's one sweep kernel family. Every public entry point (trips,
+// occupancies, distances, reachability) sweeps a lane block of
+// destinations per pass; the slice-based single-destination sweep the
+// kernels are checked against lives in the package tests.
 
 import (
 	"math"
@@ -244,39 +246,35 @@ const noCand = int64(math.MaxInt64)
 // line (all eight lanes of the 8-wide kernel span exactly one 64-byte
 // line).
 
-// sweepState is the per-worker scratch of the CSR sweep: 8 bytes of
-// standing state and 8 bytes of per-layer candidate state per node (per
-// lane in the blocked occupancy sweep). The occupancy sink is a list of
-// fixed-size chunks, never a doubling slice: growing a flat slice
-// re-copies every element O(log n) times, which profiled as ~25% of the
-// whole sweep.
+// sweepState is the per-worker scratch of the blocked sweep: per node
+// and lane, 8 bytes of standing state and 8 bytes of per-layer
+// candidate state. The occupancy sink is a list of fixed-size chunks,
+// never a doubling slice: growing a flat slice re-copies every element
+// O(log n) times, which profiled as ~25% of the whole sweep.
 type sweepState struct {
-	width     int     // lane width of the blocked sweep (4 or 8)
-	shift     uint    // log2(width): node = slot >> shift, lane = slot & (width-1)
-	node      []int64 // packed (arrIdx, hops); unreachPacked if unreachable
-	cand      []int64 // packed per-layer candidate; noCand at rest
-	seg       []int32 // layer index at which node's (arr, hop) became active
-	touched   []int32
+	n         int                  // number of nodes
+	width     int                  // lane width of the blocked sweep (4 or 8)
+	shift     uint                 // log2(width): node = slot >> shift, lane = slot & (width-1)
+	touched   []int32              // slots with a candidate in the current layer
 	nodeB     []int64              // width-lane standing state, slot width*node+lane
 	candB     []int64              // width-lane candidates; noCand at rest
 	segB      []int32              // per-slot layer index of the standing state (distance segments)
-	occ       []float64            // active occupancy chunk, used when collectOcc
+	occ       []float64            // active occupancy chunk
 	occChunks [][]float64          // completed chunks
-	trips     []Trip               // trip sink for CollectTrips
 	tripsB    [MaxLaneWidth][]Trip // per-lane trip sinks of the full block sweep (ownership handed to the caller)
 }
 
 func newSweepState(n, width int) *sweepState {
 	st := &sweepState{
+		n:       n,
 		width:   width,
 		shift:   laneShift(width),
-		node:    make([]int64, n),
-		cand:    make([]int64, n),
-		seg:     make([]int32, n),
 		touched: make([]int32, 0, 64),
+		nodeB:   make([]int64, width*n),
+		candB:   make([]int64, width*n),
 	}
-	for i := range st.cand {
-		st.cand[i] = noCand
+	for i := range st.candB {
+		st.candB[i] = noCand
 	}
 	return st
 }
@@ -289,7 +287,7 @@ var statePool sync.Pool
 func getSweepState(n, width int) *sweepState {
 	if v := statePool.Get(); v != nil {
 		st := v.(*sweepState)
-		if len(st.node) == n && st.width == width {
+		if st.n == n && st.width == width {
 			return st
 		}
 	}
@@ -299,7 +297,6 @@ func getSweepState(n, width int) *sweepState {
 func putSweepState(st *sweepState) {
 	st.occ = nil
 	st.occChunks = nil
-	st.trips = nil
 	statePool.Put(st)
 }
 
@@ -396,119 +393,24 @@ func concatChunks(total int, chunkLists ...[][]float64) []float64 {
 	return out
 }
 
-// run performs one backward sweep for destination dest over the CSR.
-// It mirrors destState.run (the reference implementation, temporal.go)
-// with the relax bodies inlined over the flat endpoint array. visit, if
-// non nil, receives every minimal trip; acc, if non nil, accumulates
-// the distance segments. The occupancy hot path does not come through
-// here — it runs the blocked sweep, runOccBlock.
-func (st *sweepState) run(c *CSR, dest int32, directed bool, visit func(u int32, dep, arr int64, hops int32), acc *distAcc) {
-	node, cand, seg := st.node, st.cand, st.seg
-	for i := range node {
-		node[i] = unreachPacked
-	}
-	keys, off, ends := c.Keys, c.Off, c.Ends
-	touched := st.touched[:0]
-
-	for li := len(keys) - 1; li >= 0; li-- {
-		key := keys[li]
-		touched = touched[:0]
-		// Pinning node[dest] to (li, 0 hops) folds the "relay is the
-		// destination" case into the generic packed arithmetic: pv+1
-		// yields (li, 1 hop), exactly "arrive at this layer in one
-		// hop". The pin also keeps dest itself out of the candidate
-		// set — every candidate packs an arrival layer >= li and at
-		// least one hop, so no p undercuts li<<32. Likewise, an
-		// unreachable relay yields unreachPacked+1, which undercuts no
-		// standing value either; both special cases vanish from the
-		// loop, leaving two loads, an add and one compare per relax.
-		node[dest] = int64(li) << 32
-		edges := ends[2*off[li] : 2*off[li+1]]
-		if directed {
-			for j := 0; j+1 < len(edges); j += 2 {
-				u, v := edges[j], edges[j+1]
-				// A directed link (u, v) lets u move to v; the backward
-				// state of v (arrival departing >= key+1) relaxes u.
-				if p := node[v] + 1; p < node[u] {
-					if c := cand[u]; p < c {
-						if c == noCand {
-							touched = append(touched, u)
-						}
-						cand[u] = p
-					}
-				}
-			}
-		} else {
-			for j := 0; j+1 < len(edges); j += 2 {
-				u, v := edges[j], edges[j+1]
-				pu, pv := node[u], node[v]
-				if p := pv + 1; p < pu {
-					if c := cand[u]; p < c {
-						if c == noCand {
-							touched = append(touched, u)
-						}
-						cand[u] = p
-					}
-				}
-				if p := pu + 1; p < pv {
-					if c := cand[v]; p < c {
-						if c == noCand {
-							touched = append(touched, v)
-						}
-						cand[v] = p
-					}
-				}
-			}
-		}
-		for _, x := range touched {
-			p, old := cand[x], node[x]
-			cand[x] = noCand
-			node[x] = p
-			if acc != nil {
-				if old != unreachPacked {
-					acc.addSegment(keys[old>>32], key+1, keys[seg[x]], int32(old))
-				}
-				seg[x] = int32(li)
-			}
-			if p>>32 < old>>32 {
-				// Strictly earlier arrival: exactly one minimal trip.
-				if visit != nil {
-					visit(x, key, keys[p>>32], int32(p))
-				}
-			}
-			// Otherwise: same earliest arrival with fewer hops when
-			// departing earlier — not a minimal trip, but the hop count
-			// feeds upstream relaxations and the dhops segments.
-		}
-	}
-	st.touched = touched[:0]
-
-	if acc != nil {
-		for u := range node {
-			if p := node[u]; int32(u) != dest && p != unreachPacked {
-				acc.addSegment(keys[p>>32], acc.kMin, keys[seg[u]], int32(p))
-			}
-		}
-	}
+// block returns the first destination of destination block b (see
+// DestBlocksFor) and the number of live lanes in it.
+func (st *sweepState) block(b int) (first int32, ndests int) {
+	f := b * st.width
+	return int32(f), min(st.width, st.n-f)
 }
 
-// runOccBlock sweeps up to width consecutive destinations (first,
-// first+1, ...) in one pass over the layers, appending every minimal
-// trip's occupancy to the chunk sink. Lane b holds destination first+b;
-// lanes past ndests stay entirely unreachable (their pins are never
-// set), so every relaxation on them fails the single compare and they
-// are inert. Semantically this is exactly ndests independent runs of
-// the single-destination sweep, for every lane width.
-func (st *sweepState) runOccBlock(c *CSR, first int32, ndests int, directed bool) {
-	n := len(st.node)
+// runOccBlock sweeps destination block b — up to width consecutive
+// destinations first, first+1, ... — in one backward pass over the
+// layers, appending every minimal trip's occupancy to the chunk sink.
+// Lane l holds destination first+l; lanes of a partial final block stay
+// entirely unreachable (their pins are never set), so every relaxation
+// on them fails the single compare and they are inert. Semantically
+// this is exactly ndests independent single-destination sweeps, for
+// every lane width.
+func (st *sweepState) runOccBlock(c *CSR, b int, directed bool) {
+	first, ndests := st.block(b)
 	width := st.width
-	if st.nodeB == nil {
-		st.nodeB = make([]int64, width*n)
-		st.candB = make([]int64, width*n)
-		for i := range st.candB {
-			st.candB[i] = noCand
-		}
-	}
 	nodeB, candB := st.nodeB, st.candB
 	for i := range nodeB {
 		nodeB[i] = unreachPacked
@@ -524,16 +426,28 @@ func (st *sweepState) runOccBlock(c *CSR, first int32, ndests int, directed bool
 	for li := len(keys) - 1; li >= 0; li-- {
 		key := keys[li]
 		touched = touched[:0]
-		// Pin each lane's own destination to (li, 0 hops); see run.
+		// Pinning each lane's own destination to (li, 0 hops) folds the
+		// "relay is the destination" case into the generic packed
+		// arithmetic: pv+1 yields (li, 1 hop), exactly "arrive at this
+		// layer in one hop". The pin also keeps the destination itself
+		// out of its lane's candidate set — every candidate packs an
+		// arrival layer >= li and at least one hop, so none undercuts
+		// li<<32. Likewise, an unreachable relay yields unreachPacked+1,
+		// which undercuts no standing value either; both special cases
+		// vanish from the kernel, leaving two loads, an add and one
+		// compare per relax.
 		pin := int64(li) << 32
-		for b := 0; b < ndests; b++ {
-			nodeB[width*int(first+int32(b))+b] = pin
+		for l := 0; l < ndests; l++ {
+			nodeB[width*int(first+int32(l))+l] = pin
 		}
 		touched = st.relaxLanes(ends[2*off[li]:2*off[li+1]], directed, touched)
 		for _, slot := range touched {
 			p, old := candB[slot], nodeB[slot]
 			candB[slot] = noCand
 			nodeB[slot] = p
+			// A strictly earlier arrival is exactly one minimal trip;
+			// otherwise the same arrival got fewer hops by departing
+			// earlier — not a trip, but it feeds upstream relaxations.
 			if p>>32 < old>>32 {
 				if len(occ) == occChunkLen {
 					st.occChunks = append(st.occChunks, occ)
@@ -554,26 +468,21 @@ func (st *sweepState) runOccBlock(c *CSR, first int32, ndests int, directed bool
 
 // runFullBlock is runOccBlock with the full product fan-out: the same
 // blocked relax kernel, but the commit phase can additionally emit
-// every minimal trip into per-lane sinks (st.tripsB, lane b holding
-// destination first+b, so concatenating lanes in order yields the exact
+// every minimal trip into per-lane sinks (st.tripsB, lane l holding
+// destination first+l, so concatenating lanes in order yields the exact
 // destination-major, departure-descending trip order of consecutive
 // single-destination sweeps) and accumulate the distance segments of
 // each lane into sink's per-destination slot. Per destination, the
-// sequence of segment operations is identical to the single-destination
+// sequence of segment operations is identical to a single-destination
 // sweep's — lanes evolve independently and a slot's commits interleave
 // with other lanes' without reordering its own — so the accumulated
-// floating-point sums match st.run bit for bit, at every lane width.
-func (st *sweepState) runFullBlock(c *CSR, first int32, ndests int, directed bool, wantTrips, wantOcc bool, sink *DistSink) {
-	n := len(st.node)
-	width, shift := st.width, st.shift
+// floating-point sums match the test-side slice oracle bit for bit, at
+// every lane width. With no product requested it still leaves the
+// block's final standing state in nodeB (reachability reads it).
+func (st *sweepState) runFullBlock(c *CSR, b int, directed bool, wantTrips, wantOcc bool, sink *DistSink) {
+	first, ndests := st.block(b)
+	n, width, shift := st.n, st.width, st.shift
 	laneMask := int32(width - 1)
-	if st.nodeB == nil {
-		st.nodeB = make([]int64, width*n)
-		st.candB = make([]int64, width*n)
-		for i := range st.candB {
-			st.candB[i] = noCand
-		}
-	}
 	needSeg := sink != nil
 	if needSeg && st.segB == nil {
 		st.segB = make([]int32, width*n)
@@ -604,10 +513,11 @@ func (st *sweepState) runFullBlock(c *CSR, first int32, ndests int, directed boo
 	for li := len(keys) - 1; li >= 0; li-- {
 		key := keys[li]
 		touched = touched[:0]
-		// Pin each lane's own destination to (li, 0 hops); see run.
+		// Pin each lane's own destination to (li, 0 hops); see
+		// runOccBlock.
 		pin := int64(li) << 32
-		for b := 0; b < ndests; b++ {
-			nodeB[width*int(first+int32(b))+b] = pin
+		for l := 0; l < ndests; l++ {
+			nodeB[width*int(first+int32(l))+l] = pin
 		}
 		touched = st.relaxLanes(ends[2*off[li]:2*off[li+1]], directed, touched)
 		for _, slot := range touched {
@@ -638,56 +548,20 @@ func (st *sweepState) runFullBlock(c *CSR, first int32, ndests int, directed boo
 
 	if needSeg {
 		// Per destination, flush the final standing segments in node
-		// order — the same order st.run's tail loop uses.
+		// order — the order a single-destination sweep's tail uses.
 		for u := 0; u < n; u++ {
 			base := width * u
-			for b := 0; b < ndests; b++ {
-				if int32(u) == first+int32(b) {
+			for l := 0; l < ndests; l++ {
+				if int32(u) == first+int32(l) {
 					continue
 				}
-				if p := nodeB[base+b]; p != unreachPacked {
-					acc := &sink.accs[int(first)+b]
-					acc.addSegment(keys[p>>32], acc.kMin, keys[segB[base+b]], int32(p))
+				if p := nodeB[base+l]; p != unreachPacked {
+					acc := &sink.accs[int(first)+l]
+					acc.addSegment(keys[p>>32], acc.kMin, keys[segB[base+l]], int32(p))
 				}
 			}
 		}
 	}
-}
-
-// forEachDestCSR runs fn for every destination on cfg.Workers parallel
-// workers, each owning one pooled sweep state.
-func forEachDestCSR(cfg Config, fn func(dest int32, st *sweepState)) {
-	width := ResolveLaneWidth(cfg.LaneWidth)
-	w := cfg.workers()
-	if w > cfg.N {
-		w = cfg.N
-	}
-	if w <= 1 {
-		st := getSweepState(cfg.N, width)
-		for d := int32(0); int(d) < cfg.N; d++ {
-			fn(d, st)
-		}
-		putSweepState(st)
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			st := getSweepState(cfg.N, width)
-			for {
-				d := next.Add(1) - 1
-				if d >= int64(cfg.N) {
-					break
-				}
-				fn(int32(d), st)
-			}
-			putSweepState(st)
-		}()
-	}
-	wg.Wait()
 }
 
 // CollectTripsCSR returns every minimal trip of the CSR graph in
@@ -695,8 +569,7 @@ func forEachDestCSR(cfg Config, fn func(dest int32, st *sweepState)) {
 // strictly decreasing per (source, destination) — for any worker count
 // and lane width. It runs the same blocked lane sweep as the unified
 // engine (width destinations per layer pass, parallel over destination
-// blocks), so the reference and engine trip producers share one relax
-// loop; lanes are concatenated in block order, which reproduces the
+// blocks); lanes are concatenated in block order, which reproduces the
 // order consecutive single-destination sweeps would emit.
 func CollectTripsCSR(cfg Config, c *CSR) []Trip {
 	lanes := CollectTripLanes(cfg, c)
@@ -721,42 +594,39 @@ func CollectTripsCSR(cfg Config, c *CSR) []Trip {
 // with RecycleTrips when done.
 func CollectTripLanes(cfg Config, c *CSR) [][]Trip {
 	width := ResolveLaneWidth(cfg.LaneWidth)
-	blocks := DestBlocksFor(cfg.N, width)
-	w := cfg.workers()
-	if w > blocks {
-		w = blocks
-	}
-	if w < 1 {
-		w = 1
-	}
-	lanes := make([][]Trip, width*blocks)
-	if w == 1 {
-		wk := NewWorkerWidth(cfg.N, width)
-		defer wk.Release()
-		for b := 0; b < blocks; b++ {
-			wk.SweepFullBlock(c, cfg.Directed, b, true, false, nil, lanes[width*b:width*(b+1)])
-		}
-		return lanes[:cfg.N]
-	}
+	lanes := make([][]Trip, width*DestBlocksFor(cfg.N, width))
+	forEachBlock(cfg, func(wk *Worker, b int) {
+		wk.SweepFullBlock(c, cfg.Directed, b, true, false, nil, lanes[width*b:width*(b+1)])
+	}, nil)
+	return lanes[:cfg.N]
+}
+
+// forEachBlock is the worker pool under every whole-graph entry point:
+// it runs fn for every destination block (see DestBlocksFor) on
+// cfg.Workers goroutines (at most one per block), each owning one
+// pooled Worker at cfg.LaneWidth and claiming blocks in increasing
+// order. done, if non nil, runs on each worker after its last block,
+// before the worker is released.
+func forEachBlock(cfg Config, fn func(wk *Worker, b int), done func(wk *Worker)) {
+	blocks := DestBlocksFor(cfg.N, ResolveLaneWidth(cfg.LaneWidth))
+	w := max(1, min(cfg.workers(), blocks))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < w; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			wk := NewWorkerWidth(cfg.N, width)
+			wk := NewWorkerWidth(cfg.N, cfg.LaneWidth)
 			defer wk.Release()
-			for {
-				b := int(next.Add(1) - 1)
-				if b >= blocks {
-					return
-				}
-				wk.SweepFullBlock(c, cfg.Directed, b, true, false, nil, lanes[width*b:width*(b+1)])
+			for b := int(next.Add(1) - 1); b < blocks; b = int(next.Add(1) - 1) {
+				fn(wk, b)
+			}
+			if done != nil {
+				done(wk)
 			}
 		}()
 	}
 	wg.Wait()
-	return lanes[:cfg.N]
 }
 
 // DestBlocksFor returns the number of destination blocks the blocked
@@ -774,42 +644,20 @@ func DestBlocksFor(n, width int) int { return (n + width - 1) / width }
 // lane width; only their interleaving across destinations varies, and
 // every consumer is order-independent (sorted samples, histograms).
 func OccupanciesCSR(cfg Config, c *CSR) []float64 {
-	width := ResolveLaneWidth(cfg.LaneWidth)
-	blocks := DestBlocksFor(cfg.N, width)
-	w := cfg.workers()
-	if w > blocks {
-		w = blocks
-	}
-	if w < 1 {
-		w = 1
-	}
-	chunkLists := make([][][]float64, w)
-	totals := make([]int, w)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func(slot int) {
-			defer wg.Done()
-			st := getSweepState(cfg.N, width)
-			for {
-				b := int(next.Add(1) - 1)
-				if b >= blocks {
-					break
-				}
-				first := b * width
-				ndests := min(width, cfg.N-first)
-				st.runOccBlock(c, int32(first), ndests, cfg.Directed)
-			}
-			chunkLists[slot], totals[slot] = st.takeOcc()
-			putSweepState(st)
-		}(i)
-	}
-	wg.Wait()
-	total := 0
-	for _, t := range totals {
-		total += t
-	}
+	var (
+		mu         sync.Mutex
+		chunkLists [][][]float64
+		total      int
+	)
+	forEachBlock(cfg, func(wk *Worker, b int) {
+		wk.SweepOccupancyBlock(c, cfg.Directed, b)
+	}, func(wk *Worker) {
+		chunks, n := wk.TakeOccupancies()
+		mu.Lock()
+		chunkLists = append(chunkLists, chunks)
+		total += n
+		mu.Unlock()
+	})
 	return concatChunks(total, chunkLists...)
 }
 
@@ -898,10 +746,7 @@ func (w *Worker) Width() int { return w.st.width }
 // one delta, and drains the sink with TakeOccupancies at delta
 // boundaries.
 func (w *Worker) SweepOccupancyBlock(c *CSR, directed bool, b int) {
-	n := len(w.st.node)
-	width := w.st.width
-	first := b * width
-	w.st.runOccBlock(c, int32(first), min(width, n-first), directed)
+	w.st.runOccBlock(c, b, directed)
 }
 
 // SweepFullBlock runs the blocked backward sweep for destination block
@@ -923,12 +768,9 @@ func (w *Worker) SweepOccupancyBlock(c *CSR, directed bool, b int) {
 // regardless of how many products are requested.
 func (w *Worker) SweepFullBlock(c *CSR, directed bool, b int, wantTrips, wantOcc bool, sink *DistSink, out [][]Trip) {
 	st := w.st
-	n := len(st.node)
-	width := st.width
-	first := b * width
-	ndests := min(width, n-first)
-	st.runFullBlock(c, int32(first), ndests, directed, wantTrips, wantOcc, sink)
+	st.runFullBlock(c, b, directed, wantTrips, wantOcc, sink)
 	if wantTrips {
+		_, ndests := st.block(b)
 		handed := int64(0)
 		for i := 0; i < ndests; i++ {
 			out[i] = st.tripsB[i]
@@ -973,32 +815,36 @@ func (w *Worker) Release() {
 }
 
 // DistancesCSR computes the mean distances (see Distances) on the CSR
-// graph.
+// graph with the blocked sweep the engine runs for Needs.Distances. The
+// sink folds per-destination partials in destination order, so the
+// result is bit-identical for every worker count and lane width.
 func DistancesCSR(cfg Config, c *CSR, kMin int64, durPlus int64) DistanceStats {
 	sink := NewDistSink(cfg.N, kMin, durPlus)
-	forEachDestCSR(cfg, func(dest int32, st *sweepState) {
-		st.run(c, dest, cfg.Directed, nil, &sink.accs[dest])
-	})
+	forEachBlock(cfg, func(wk *Worker, b int) {
+		wk.SweepFullBlock(c, cfg.Directed, b, false, false, sink, nil)
+	}, nil)
 	return sink.Stats()
 }
 
 // CountReachablePairsCSR counts ordered pairs (u, v), u != v, joined by
-// a temporal path in the CSR graph.
+// a temporal path in the CSR graph: after a block's sweep, every slot
+// still unreachable is a source that cannot reach that lane's
+// destination.
 func CountReachablePairsCSR(cfg Config, c *CSR) int64 {
-	counts := make([]int64, cfg.N)
-	forEachDestCSR(cfg, func(dest int32, st *sweepState) {
-		st.run(c, dest, cfg.Directed, nil, nil)
+	var total atomic.Int64
+	forEachBlock(cfg, func(wk *Worker, b int) {
+		st := wk.st
+		st.runFullBlock(c, b, cfg.Directed, false, false, nil)
+		first, ndests := st.block(b)
 		var n int64
-		for u := range st.node {
-			if int32(u) != dest && st.node[u] != unreachPacked {
-				n++
+		for u := 0; u < st.n; u++ {
+			for l := 0; l < ndests; l++ {
+				if int32(u) != first+int32(l) && st.nodeB[st.width*u+l] != unreachPacked {
+					n++
+				}
 			}
 		}
-		counts[dest] = n
-	})
-	var total int64
-	for _, n := range counts {
-		total += n
-	}
-	return total
+		total.Add(n)
+	}, nil)
+	return total.Load()
 }

@@ -94,8 +94,8 @@ func EarliestArrivalsCSR(cfg Config, c *CSR, src int32, startKey int64) (arr []i
 
 // CountReachablePairs returns the number of ordered pairs (u, v) with
 // u != v such that a temporal path from u to v exists anywhere in the
-// layered graph. It runs the backward sweep once per destination,
-// parallel over destinations.
+// layered graph. It runs the blocked backward sweep, parallel over
+// destination blocks.
 func CountReachablePairs(cfg Config, layers []Layer) int64 {
 	return CountReachablePairsCSR(cfg, FromLayers(layers))
 }

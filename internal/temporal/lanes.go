@@ -13,8 +13,9 @@ package temporal
 // at sweep-state construction. Lanes are fully independent: a slot
 // only ever compares and assigns its own lane's state, so for every
 // width the per-destination sequence of relaxations and commits is
-// identical to the single-destination sweep's, and every product
-// (trips, occupancies, distance segments) is bit-exact across widths.
+// identical to a single-destination sweep's — the slice-based oracle in
+// the package tests — and every product (trips, occupancies, distance
+// segments) is bit-exact across widths.
 
 import (
 	"math/bits"

@@ -41,14 +41,24 @@ func TestLaneWidthResolution(t *testing.T) {
 // guarantee: the 4- and 8-lane kernels produce exactly the reference
 // sweep's trips — same multiset, and destination-major order from the
 // flat collection — on every workload × orientation × worker count.
+// The reachability count runs through the same matrix: it must equal
+// the number of distinct (u, v) pairs among the reference's trips.
 func TestLaneWidthEquivalenceTrips(t *testing.T) {
 	for _, w := range equivalenceWorkloads(t) {
 		c := FromLayers(w.layers)
 		want := referenceTrips(Config{N: w.n, Directed: w.directed, Workers: 1}, w.layers)
 		sortTrips(want)
+		type pair struct{ u, v int32 }
+		pairs := map[pair]bool{}
+		for _, tr := range want {
+			pairs[pair{tr.U, tr.V}] = true
+		}
 		for _, width := range []int{4, 8} {
 			for _, workers := range []int{1, 3} {
 				cfg := Config{N: w.n, Directed: w.directed, Workers: workers, LaneWidth: width}
+				if got := CountReachablePairsCSR(cfg, c); got != int64(len(pairs)) {
+					t.Fatalf("%s width=%d workers=%d: reachable pairs %d, reference %d", w.name, width, workers, got, len(pairs))
+				}
 				got := CollectTripsCSR(cfg, c)
 				// The flat collection is destination-major for every width.
 				for i := 1; i < len(got); i++ {

@@ -5,135 +5,16 @@ import (
 
 	"repro/internal/linkstream"
 	"repro/internal/series"
-	"repro/internal/sweep"
 	"repro/internal/temporal"
 )
 
-// This file retains the eager implementations the streaming pipeline
-// replaced, as behavioural references: the observer pair
-// (TransitionLossObserverReference, ElongationObserverReference)
-// consumes the engine's eager products — the flat raw-stream trip slice
-// of Needs.StreamTrips and the whole-period TripBlocks of Needs.Trips —
-// and the *CurveReference functions are the original seed paths with
-// one dedicated temporal pass per metric. All of them are bit-exact
-// with the streaming observers (the equivalence tests pin the full
-// seeds × orientations × workers × in-flight matrix), because every
+// This file retains the seed implementations the engine observers
+// replaced, as behavioural references: the *CurveReference functions
+// run one dedicated temporal pass per metric. They are bit-exact with
+// the streaming observers (the equivalence tests pin the full seeds ×
+// orientations × workers × in-flight matrix), because every
 // implementation folds the elongation sum as per-destination subtotals
 // in destination order.
-
-// TransitionLossObserverReference is the retained eager transition-loss
-// observer: the stream's trips are materialised as one flat slice
-// before Begin, which then filters the two-hop spans. Results are
-// identical to TransitionLossObserver; memory is O(stream trips)
-// instead of O(in-flight runs).
-type TransitionLossObserverReference struct {
-	t0     int64
-	spans  []tripSpan
-	points []LossPoint
-}
-
-// NewTransitionLossObserverReference returns an empty eager
-// transition-loss observer.
-func NewTransitionLossObserverReference() *TransitionLossObserverReference {
-	return &TransitionLossObserverReference{}
-}
-
-// Needs implements sweep.Observer.
-func (o *TransitionLossObserverReference) Needs() sweep.Needs {
-	return sweep.Needs{StreamTrips: true}
-}
-
-// Begin implements sweep.Observer.
-func (o *TransitionLossObserverReference) Begin(v *sweep.StreamView) error {
-	o.t0 = v.T0
-	o.spans = o.spans[:0]
-	for _, tr := range v.StreamTrips() {
-		if tr.Hops == 2 {
-			o.spans = append(o.spans, tripSpan{dep: tr.Dep, arr: tr.Arr})
-		}
-	}
-	o.points = make([]LossPoint, len(v.Grid))
-	return nil
-}
-
-// ObservePeriod implements sweep.Observer.
-func (o *TransitionLossObserverReference) ObservePeriod(p *sweep.Period) error {
-	o.points[p.Index] = lossPoint(o.spans, o.t0, p.Delta)
-	return nil
-}
-
-// Points returns the loss curve in grid order.
-func (o *TransitionLossObserverReference) Points() []LossPoint { return o.points }
-
-// ElongationObserverReference is the retained eager elongation
-// observer: the pair index is built in Begin from the flat raw-stream
-// trip slice, and each period sequentially scans the whole TripBlocks
-// the engine kept resident. The per-lane subtotal fold makes its
-// floating-point sums bit-identical to the sharded streaming
-// ElongationObserver.
-type ElongationObserverReference struct {
-	t0     int64
-	idx    *pairIndex
-	points []ElongationPoint
-}
-
-// NewElongationObserverReference returns an empty eager elongation
-// observer.
-func NewElongationObserverReference() *ElongationObserverReference {
-	return &ElongationObserverReference{}
-}
-
-// Needs implements sweep.Observer.
-func (o *ElongationObserverReference) Needs() sweep.Needs {
-	return sweep.Needs{StreamTrips: true, Trips: true}
-}
-
-// Begin implements sweep.Observer.
-func (o *ElongationObserverReference) Begin(v *sweep.StreamView) error {
-	o.t0 = v.T0
-	o.idx = buildPairIndex(v.N, v.StreamTrips())
-	o.points = make([]ElongationPoint, len(v.Grid))
-	return nil
-}
-
-// ObservePeriod implements sweep.Observer. It iterates the engine's
-// trip blocks in order — the trip order of consecutive
-// single-destination backward sweeps — accumulating one subtotal per
-// lane and folding the subtotals in lane order.
-func (o *ElongationObserverReference) ObservePeriod(p *sweep.Period) error {
-	pt := ElongationPoint{Delta: p.Delta}
-	sum := 0.0
-	for _, blk := range p.TripBlocks {
-		var lsum float64
-		var ltrips int
-		for _, tr := range blk {
-			if tr.Dep == tr.Arr {
-				continue
-			}
-			a := o.t0 + tr.Dep*p.Delta
-			b := o.t0 + (tr.Arr+1)*p.Delta - 1
-			durL, ok := o.idx.minDurationWithin(tr.U, tr.V, a, b)
-			if !ok || durL <= 0 {
-				pt.Unmatched++
-				continue
-			}
-			lsum += float64(tr.Arr-tr.Dep+1) * float64(p.Delta) / float64(durL)
-			ltrips++
-		}
-		if ltrips > 0 {
-			sum += lsum
-			pt.Trips += ltrips
-		}
-	}
-	if pt.Trips > 0 {
-		pt.MeanElongation = sum / float64(pt.Trips)
-	}
-	o.points[p.Index] = pt
-	return nil
-}
-
-// Points returns the elongation curve in grid order.
-func (o *ElongationObserverReference) Points() []ElongationPoint { return o.points }
 
 // TransitionLossCurveReference is the seed implementation of
 // TransitionLossCurve: enumerate the stream's shortest transitions with

@@ -15,9 +15,9 @@
 // into an incremental pair index. The elongation observer's per-period
 // scan is sharded across the engine's worker pool as per-block partial
 // sums combined in block order, so its result is bit-for-bit identical
-// for any worker count — and to the retained eager reference
-// implementations (TransitionLossObserverReference,
-// ElongationObserverReference, *CurveReference).
+// for any worker count — and to the retained seed implementations
+// (*CurveReference) and the eager reference observers the package
+// tests run beside the streaming ones.
 package validate
 
 import (
@@ -378,7 +378,7 @@ type ElongationPoint struct {
 // pooled scratch, re-read from the spill shelf if needed), into
 // per-lane partial sums that ObservePeriod folds in lane order —
 // bit-for-bit deterministic for any worker count, any spill cap, and
-// identical to the eager ElongationObserverReference.
+// identical to an eager scan of the whole-period trip blocks.
 type ElongationObserver struct {
 	// SpillBytes caps the arena's resident bytes (Options.SpillBytes);
 	// set before the run begins. <= 0 keeps everything in RAM.

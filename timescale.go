@@ -85,20 +85,20 @@
 //
 // # The streaming trip pipeline
 //
-// Observers that consume the raw stream's minimal trips have two
-// registration modes. The eager mode (SweepNeeds.StreamTrips) hands
-// Begin one flat slice of every trip — simple, but its residency is
-// O(total trips), and for long streams the trip population, not the
-// sweep, bounds memory. The streaming mode (SweepNeeds.StreamTripRuns,
-// observers implementing SweepTripRunObserver) instead delivers the
-// enumeration as per-destination runs in strictly increasing
-// destination order: each run is scored and recycled before the next
+// Observers consume the raw stream's minimal trips through one
+// registration mode, SweepNeeds.StreamTripRuns (observers implementing
+// SweepTripRunObserver): the enumeration arrives as per-destination
+// runs in strictly increasing destination order, after Begin and
+// before any period. Each run is scored and recycled before the next
 // block of destinations is swept, so at most MaxInFlight destination
-// blocks of trips ever exist at once. The Section 8 validation
-// observers are built on it — the transition-loss observer keeps only
-// the two-hop spans, and the elongation observer merges each run into
-// an incremental pair index — with the eager implementations retained
-// as bit-exact references.
+// blocks of trips ever exist at once — for long streams the trip
+// population, not the sweep, would otherwise bound memory. An observer
+// that wants one flat slice concatenates the runs; that is exactly the
+// destination-major enumeration. The Section 8 validation observers are
+// built on it — the transition-loss observer keeps only the two-hop
+// spans, and the elongation observer merges each run into an
+// incremental pair index — and their tests pin them bit-exact against
+// eager references that materialise the flat slice.
 //
 // Per-period trip scans shard the same way: a SweepShardedTripObserver
 // (SweepNeeds.TripShards) receives one SweepTripShard per period, fed

@@ -13,8 +13,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -141,70 +139,15 @@ func TestSnapshotReportGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden matrix is not -short")
 	}
-	type knobs struct {
-		workers, laneWidth int
-	}
-	matrix := []knobs{{1, 4}, {1, 8}, {3, 4}, {3, 8}}
-
 	for _, seed := range []int64{101, 202, 303} {
 		for _, directed := range []bool{false, true} {
 			name := fmt.Sprintf("snapshots_seed%d_%s", seed, map[bool]string{false: "undirected", true: "directed"}[directed])
 			t.Run(name, func(t *testing.T) {
-				spec := snapshotSpecForGolden(directed)
-				var reference []byte
-				for _, k := range matrix {
-					s := goldenWorkload(t, seed)
-					opts, err := spec.Options()
-					if err != nil {
-						t.Fatal(err)
-					}
-					opts = append(opts, WithWorkers(k.workers), WithLaneWidth(k.laneWidth))
-					plan, err := NewAnalysis(s, opts...)
-					if err != nil {
-						t.Fatal(err)
-					}
-					rep, err := plan.Run(context.Background())
-					if err != nil {
-						t.Fatal(err)
-					}
-					data, err := json.Marshal(rep)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if reference == nil {
-						reference = data
-					} else if !bytes.Equal(data, reference) {
-						t.Fatalf("report bytes at workers=%d lane=%d differ from workers=%d lane=%d",
-							k.workers, k.laneWidth, matrix[0].workers, matrix[0].laneWidth)
-					}
-				}
-
-				golden := filepath.Join("testdata", "report_"+name+".golden.json")
-				if *updateGolden {
-					if err := os.MkdirAll("testdata", 0o755); err != nil {
-						t.Fatal(err)
-					}
-					var pretty bytes.Buffer
-					if err := json.Indent(&pretty, reference, "", "  "); err != nil {
-						t.Fatal(err)
-					}
-					pretty.WriteByte('\n')
-					if err := os.WriteFile(golden, pretty.Bytes(), 0o644); err != nil {
-						t.Fatal(err)
-					}
-					return
-				}
-				want, err := os.ReadFile(golden)
+				opts, err := snapshotSpecForGolden(directed).Options()
 				if err != nil {
-					t.Fatalf("%v (regenerate with -update-golden)", err)
-				}
-				var compact bytes.Buffer
-				if err := json.Compact(&compact, want); err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(reference, compact.Bytes()) {
-					t.Fatalf("report wire bytes drifted from %s (regenerate with -update-golden and review)", golden)
-				}
+				checkReportGolden(t, name, func() *Stream { return goldenWorkload(t, seed) }, opts)
 			})
 		}
 	}

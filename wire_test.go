@@ -49,82 +49,96 @@ func specForGolden(seed int64, directed bool) *PlanSpec {
 	}
 }
 
+// goldenKnobs is the execution-knob matrix every golden report is
+// reproduced under: worker counts × lane widths.
+var goldenKnobs = []struct{ workers, laneWidth int }{{1, 4}, {1, 8}, {3, 4}, {3, 8}}
+
+// checkReportGolden runs the plan built from a fresh stream and opts
+// under every goldenKnobs combination, requires identical report bytes
+// across them, and compares those bytes with testdata/report_<name>.golden.json
+// (rewriting it under -update-golden).
+func checkReportGolden(t *testing.T, name string, stream func() *Stream, opts []Option) {
+	t.Helper()
+	var reference []byte
+	for _, k := range goldenKnobs {
+		all := append(append([]Option(nil), opts...), WithWorkers(k.workers), WithLaneWidth(k.laneWidth))
+		plan, err := NewAnalysis(stream(), all...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := plan.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reference == nil {
+			reference = data
+		} else if !bytes.Equal(data, reference) {
+			t.Fatalf("report bytes at workers=%d lane=%d differ from workers=%d lane=%d",
+				k.workers, k.laneWidth, goldenKnobs[0].workers, goldenKnobs[0].laneWidth)
+		}
+	}
+
+	golden := filepath.Join("testdata", "report_"+name+".golden.json")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		var pretty bytes.Buffer
+		if err := json.Indent(&pretty, reference, "", "  "); err != nil {
+			t.Fatal(err)
+		}
+		pretty.WriteByte('\n')
+		if err := os.WriteFile(golden, pretty.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update-golden)", err)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(reference, compact.Bytes()) {
+		t.Fatalf("report wire bytes drifted from %s (regenerate with -update-golden and review)\n got %s\nwant %s",
+			golden, reference, compact.Bytes())
+	}
+}
+
 // TestReportGolden pins the wire bytes of Report across 3 seeds ×
-// directed/undirected, and — the determinism half of the contract —
-// checks every (workers, lane width) combination reproduces the golden
-// bytes exactly.
+// directed/undirected plus one adaptive two-mode plan, and — the
+// determinism half of the contract — checks every (workers, lane
+// width) combination reproduces the golden bytes exactly.
 func TestReportGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden matrix is not -short")
 	}
-	type knobs struct {
-		workers, laneWidth int
-	}
-	matrix := []knobs{{1, 4}, {1, 8}, {3, 4}, {3, 8}}
-
 	for _, seed := range []int64{101, 202, 303} {
 		for _, directed := range []bool{false, true} {
 			name := fmt.Sprintf("seed%d_%s", seed, map[bool]string{false: "undirected", true: "directed"}[directed])
 			t.Run(name, func(t *testing.T) {
-				spec := specForGolden(seed, directed)
-				var reference []byte
-				for _, k := range matrix {
-					s := goldenWorkload(t, seed)
-					opts, err := spec.Options()
-					if err != nil {
-						t.Fatal(err)
-					}
-					opts = append(opts, WithWorkers(k.workers), WithLaneWidth(k.laneWidth))
-					plan, err := NewAnalysis(s, opts...)
-					if err != nil {
-						t.Fatal(err)
-					}
-					rep, err := plan.Run(context.Background())
-					if err != nil {
-						t.Fatal(err)
-					}
-					data, err := json.Marshal(rep)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if reference == nil {
-						reference = data
-					} else if !bytes.Equal(data, reference) {
-						t.Fatalf("report bytes at workers=%d lane=%d differ from workers=%d lane=%d",
-							k.workers, k.laneWidth, matrix[0].workers, matrix[0].laneWidth)
-					}
-				}
-
-				golden := filepath.Join("testdata", "report_"+name+".golden.json")
-				if *updateGolden {
-					if err := os.MkdirAll("testdata", 0o755); err != nil {
-						t.Fatal(err)
-					}
-					var pretty bytes.Buffer
-					if err := json.Indent(&pretty, reference, "", "  "); err != nil {
-						t.Fatal(err)
-					}
-					pretty.WriteByte('\n')
-					if err := os.WriteFile(golden, pretty.Bytes(), 0o644); err != nil {
-						t.Fatal(err)
-					}
-					return
-				}
-				want, err := os.ReadFile(golden)
+				opts, err := specForGolden(seed, directed).Options()
 				if err != nil {
-					t.Fatalf("%v (regenerate with -update-golden)", err)
-				}
-				var compact bytes.Buffer
-				if err := json.Compact(&compact, want); err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(reference, compact.Bytes()) {
-					t.Fatalf("report wire bytes drifted from %s (regenerate with -update-golden and review)\n got %s\nwant %s",
-						golden, reference, compact.Bytes())
-				}
+				checkReportGolden(t, name, func() *Stream { return goldenWorkload(t, seed) }, opts)
 			})
 		}
 	}
+	t.Run("adaptive_twomode", func(t *testing.T) {
+		checkReportGolden(t, "adaptive_twomode", func() *Stream { return twoModeWorkload(t) }, []Option{
+			WithAdaptive(AdaptiveConfig{Bins: 60}),
+			WithGridPoints(10),
+			WithRefine(2),
+			WithMetrics(MetricOccupancy, MetricClassic),
+		})
+	})
 }
 
 // TestReportJSONRoundTrip: decode(encode(report)) carries the same

@@ -404,149 +404,83 @@ func (p *Plan) windowGrids() ([][]int64, error) {
 	return grids, nil
 }
 
-// scopeRun is the per-scope execution state of a standard (non-adaptive)
-// run: the global scope or one plan window.
-type scopeRun struct {
-	window   *Window // nil for the global scope
-	start    int64   // engine window bounds; 0,0 selects the whole stream
-	end      int64
-	grid     []int64 // round-0 grid for scopes without a search
-	search   *core.ScaleSearch
-	mo       metricObservers
-	extraObs []sweep.Observer // round-0 co-observers (metrics + custom)
-	res      core.Result
-	hasRes   bool
-	done     bool
-}
-
-// runStandard executes the plan's scopes — the global analysis, every
-// window, every raw segment — as one fused engine pass per bisection
-// round: round 0 carries every scope's grid plus all curve observers
-// and raw segments, later rounds only the still-refining occupancy
-// searches.
-func (p *Plan) runStandard(ctx context.Context) (*Report, error) {
+// engineOptions maps the plan's configuration onto the options of its
+// fused engine passes, accumulating their counters into stats.
+func (p *Plan) engineOptions(stats *EngineStats) sweep.Options {
 	c := &p.cfg
-	var stats EngineStats
-	engOpt := sweep.Options{
+	return sweep.Options{
 		Directed:      c.directed,
 		Workers:       c.workers,
 		MaxInFlight:   c.maxInFlight,
 		HistogramBins: c.histogramBins,
 		LaneWidth:     c.laneWidth,
-		Stats:         &stats,
+		Progress:      c.progress,
+		Stats:         stats,
+	}
+}
+
+// runStandard executes the plan's scopes — the global analysis, every
+// window, every raw segment — as one fused engine pass per bisection
+// round (core.RunScopes).
+func (p *Plan) runStandard(ctx context.Context) (*Report, error) {
+	c := &p.cfg
+	// newScope builds one scope: its occupancy search, if the metric is
+	// on, and its curve observers plus extra co-observers.
+	newScope := func(start, end int64, grid []int64, extra []sweep.Observer) (*core.Scope, metricObservers, error) {
+		mo, mobs := p.newMetricObservers()
+		sc := &core.Scope{Start: start, End: end, Grid: grid, Observers: append(mobs, extra...)}
+		if c.metricOn(MetricOccupancy) {
+			search, err := core.NewScaleSearch(p.coreOptions(grid))
+			if err != nil {
+				return nil, mo, err
+			}
+			sc.Search = search
+		}
+		return sc, mo, nil
 	}
 
-	var runs []*scopeRun
+	var scopes []*core.Scope
+	var curves []metricObservers
 	if (c.anyMetric() || len(c.observers) > 0) && !c.noGlobal {
-		sr := &scopeRun{grid: c.grid}
-		if c.metricOn(MetricOccupancy) {
-			search, err := core.NewScaleSearch(p.coreOptions(c.grid))
-			if err != nil {
-				return nil, err
-			}
-			sr.search = search
+		sc, mo, err := newScope(0, 0, c.grid, c.observers)
+		if err != nil {
+			return nil, err
 		}
-		mo, mobs := p.newMetricObservers()
-		sr.mo = mo
-		sr.extraObs = append(mobs, c.observers...)
-		runs = append(runs, sr)
+		scopes, curves = append(scopes, sc), append(curves, mo)
 	}
 	if len(c.windows) > 0 {
 		grids, err := p.windowGrids()
 		if err != nil {
 			return nil, err
 		}
-		for i := range c.windows {
-			w := &c.windows[i]
-			sr := &scopeRun{window: w, start: w.Start, end: w.End, grid: grids[i]}
-			if c.metricOn(MetricOccupancy) {
-				search, err := core.NewScaleSearch(p.coreOptions(grids[i]))
-				if err != nil {
-					return nil, fmt.Errorf("repro: window [%d, %d): %w", w.Start, w.End, err)
-				}
-				sr.search = search
+		for i, w := range c.windows {
+			sc, mo, err := newScope(w.Start, w.End, grids[i], nil)
+			if err != nil {
+				return nil, fmt.Errorf("repro: window [%d, %d): %w", w.Start, w.End, err)
 			}
-			mo, mobs := p.newMetricObservers()
-			sr.mo = mo
-			sr.extraObs = mobs
-			runs = append(runs, sr)
+			scopes, curves = append(scopes, sc), append(curves, mo)
 		}
 	}
 
-	for pass := 0; ; pass++ {
-		batch := make([]sweep.SegmentObserver, 0, len(runs)+len(c.segments))
-		waiting := make([]*scopeRun, 0, len(runs))
-		for _, sr := range runs {
-			if sr.done {
-				continue
-			}
-			var observers []sweep.Observer
-			grid := sr.grid
-			if sr.search != nil {
-				g, obs, ok := sr.search.Next()
-				if !ok {
-					res, err := sr.search.Result()
-					if err != nil {
-						return nil, err
-					}
-					sr.res, sr.hasRes, sr.done = res, true, true
-					continue
-				}
-				grid = g
-				observers = append(observers, obs)
-			}
-			if pass == 0 {
-				observers = append(observers, sr.extraObs...)
-			}
-			if len(observers) == 0 {
-				sr.done = true
-				continue
-			}
-			batch = append(batch, sweep.SegmentObserver{Start: sr.start, End: sr.end, Grid: grid, Observers: observers})
-			waiting = append(waiting, sr)
-		}
-		if pass == 0 {
-			batch = append(batch, c.segments...)
-		}
-		if len(batch) == 0 {
-			break
-		}
-		if c.progress != nil {
-			round := pass
-			engOpt.Progress = func(ev ProgressEvent) {
-				ev.Pass = round
-				c.progress(ev)
-			}
-		}
-		if err := sweep.RunSource(ctx, p.engineSource(), engOpt, batch...); err != nil {
-			return nil, err
-		}
-		for _, sr := range waiting {
-			if sr.search != nil {
-				if err := sr.search.Absorb(); err != nil {
-					return nil, err
-				}
-			} else {
-				sr.done = true
-			}
-		}
+	var stats EngineStats
+	if err := core.RunScopes(ctx, p.engineSource(), p.engineOptions(&stats), scopes, c.segments...); err != nil {
+		return nil, err
 	}
 
 	rep := &Report{stats: stats}
-	for _, sr := range runs {
-		cv := sr.mo.curves()
-		if sr.hasRes {
-			cv.Occupancy = sr.res.Points
+	off := len(scopes) - len(c.windows) // 1 when the global scope leads
+	for i, sc := range scopes {
+		cv := curves[i].curves()
+		if sc.HasResult {
+			cv.Occupancy = sc.Result.Points
 		}
-		if sr.window == nil {
+		if i < off {
 			rep.global = cv
-			rep.scale, rep.hasScale = sr.res, sr.hasRes
-		} else {
-			rep.windows = append(rep.windows, WindowReport{
-				Start: sr.window.Start, End: sr.window.End,
-				Scale: sr.res, Curves: cv,
-			})
+			rep.scale, rep.hasScale = sc.Result, sc.HasResult
+			continue
 		}
+		w := c.windows[i-off]
+		rep.windows = append(rep.windows, WindowReport{Start: w.Start, End: w.End, Scale: sc.Result, Curves: cv})
 	}
 	return rep, nil
 }
@@ -557,19 +491,9 @@ func (p *Plan) runStandard(ctx context.Context) (*Report, error) {
 // custom observers attached to the global scope — all fused per round.
 func (p *Plan) runAdaptive(ctx context.Context) (*Report, error) {
 	c := &p.cfg
-	var stats EngineStats
 	acfg := *c.adaptive
-	acfg.Directed = c.directed
-	acfg.Workers = c.workers
-	acfg.MaxInFlight = c.maxInFlight
-	acfg.Selectors = c.selectors
-	acfg.Refine = c.refine
 	acfg.GridPoints = c.gridPoints
 	acfg.MinDelta = c.minDelta
-	acfg.LaneWidth = c.laneWidth
-	acfg.Speculate = c.speculate
-	acfg.Stats = &stats
-	acfg.Progress = c.progress
 	mo, mobs := p.newMetricObservers()
 	// The adaptive segmentation needs the whole stream in memory;
 	// columnar plans materialise it once here.
@@ -577,7 +501,8 @@ func (p *Plan) runAdaptive(ctx context.Context) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	a, err := adaptive.AnalyzeWith(ctx, s, acfg, append(mobs, c.observers...)...)
+	var stats EngineStats
+	a, err := adaptive.Analyze(ctx, s, acfg, p.coreOptions(nil), p.engineOptions(&stats), append(mobs, c.observers...)...)
 	if err != nil {
 		return nil, err
 	}

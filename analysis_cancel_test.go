@@ -65,35 +65,43 @@ func TestPlanRunPreCancelled(t *testing.T) {
 }
 
 // TestPlanRunCancelMidPlan cancels from a progress callback partway
-// through the first pass of a refining plan and checks the abort is
-// clean and the error is the context's.
+// through the first pass of a refining plan — standard and adaptive —
+// and checks the abort is clean and the error is the context's.
 func TestPlanRunCancelMidPlan(t *testing.T) {
-	s := uniformWorkload(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	fired := false
-	plan, err := NewAnalysis(s,
-		WithGrid(LogGrid(1, 50_000, 12)...),
-		WithRefine(4),
-		WithMaxInFlight(1),
-		WithProgress(func(ev ProgressEvent) {
-			if ev.Stage == ProgressPeriod && ev.PeriodsDone >= 3 && !fired {
-				fired = true
-				cancel()
+	for _, tc := range []struct {
+		name string
+		s    *Stream
+		opts []Option
+	}{
+		{"standard", uniformWorkload(t), []Option{WithGrid(LogGrid(1, 50_000, 12)...), WithRefine(4)}},
+		{"adaptive", twoModeWorkload(t), []Option{WithAdaptive(AdaptiveConfig{Bins: 60}), WithGridPoints(10), WithRefine(2)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			fired := false
+			plan, err := NewAnalysis(tc.s, append(tc.opts,
+				WithMaxInFlight(1),
+				WithProgress(func(ev ProgressEvent) {
+					if ev.Stage == ProgressPeriod && ev.PeriodsDone >= 3 && !fired {
+						fired = true
+						cancel()
+					}
+				}),
+			)...)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := plan.Run(ctx)
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if rep != nil {
-		t.Fatal("cancelled Run must not return a report")
-	}
-	if !fired {
-		t.Fatal("progress hook never fired")
+			rep, err := plan.Run(ctx)
+			if err != context.Canceled {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if rep != nil {
+				t.Fatal("cancelled Run must not return a report")
+			}
+			if !fired {
+				t.Fatal("progress hook never fired")
+			}
+		})
 	}
 }

@@ -97,27 +97,19 @@ func TestCurveWrapperEquivalence(t *testing.T) {
 		curve := func(m Metric) *Report {
 			return runPlan(t, s, WithMetrics(m), WithGrid(grid...), WithDirected(directed))
 		}
-		wantClassic, err := classic.Curve(context.Background(), s, grid, classic.Options{Directed: directed})
-		if err != nil {
-			t.Fatal(err)
+		cls, loss, elong := classic.NewObserver(), validate.NewTransitionLossObserver(), validate.NewElongationObserver()
+		for _, obs := range []sweep.Observer{cls, loss, elong} {
+			if err := sweep.Run(context.Background(), s, grid, sweep.Options{Directed: directed}, obs); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if got := curve(MetricClassic).Classic(); !reflect.DeepEqual(got, wantClassic) {
+		if got := curve(MetricClassic).Classic(); !reflect.DeepEqual(got, cls.Points()) {
 			t.Fatalf("plan classic curve diverged (directed=%v)", directed)
 		}
-
-		wantLoss, err := validate.TransitionLossCurve(context.Background(), s, grid, validate.Options{Directed: directed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := curve(MetricTransitionLoss).TransitionLoss(); !reflect.DeepEqual(got, wantLoss) {
+		if got := curve(MetricTransitionLoss).TransitionLoss(); !reflect.DeepEqual(got, loss.Points()) {
 			t.Fatalf("plan transition-loss curve diverged (directed=%v)", directed)
 		}
-
-		wantElong, err := validate.ElongationCurve(context.Background(), s, grid, validate.Options{Directed: directed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := curve(MetricElongation).Elongation(); !reflect.DeepEqual(got, wantElong) {
+		if got := curve(MetricElongation).Elongation(); !reflect.DeepEqual(got, elong.Points()) {
 			t.Fatalf("plan elongation curve diverged (directed=%v)", directed)
 		}
 	}
@@ -125,29 +117,24 @@ func TestCurveWrapperEquivalence(t *testing.T) {
 
 func TestAnalyzeAdaptiveWrapperEquivalence(t *testing.T) {
 	s := twoModeWorkload(t)
-	for _, cfg := range []AdaptiveConfig{
+	for _, tc := range []struct {
+		cfg AdaptiveConfig
+		opt Options // the scale searches' and engine passes' knobs
+	}{
 		{},
-		{Bins: 60, GridPoints: 10, MaxInFlight: 2},
-		{GridPoints: 8, Refine: 2, Workers: 3},
+		{AdaptiveConfig{Bins: 60, GridPoints: 10}, Options{MaxInFlight: 2}},
+		{AdaptiveConfig{GridPoints: 8}, Options{Refine: 2, Workers: 3}},
 	} {
-		want, err := adaptive.Analyze(context.Background(), s, cfg)
+		engine := sweep.Options{Directed: tc.opt.Directed, Workers: tc.opt.Workers, MaxInFlight: tc.opt.MaxInFlight}
+		want, err := adaptive.Analyze(context.Background(), s, tc.cfg, tc.opt, engine)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// WithAdaptive reads only the segmentation knobs; the execution
-		// fields map onto the matching plan options.
-		got := runPlan(t, s,
-			WithAdaptive(cfg),
-			WithDirected(cfg.Directed),
-			WithWorkers(cfg.Workers),
-			WithMaxInFlight(cfg.MaxInFlight),
-			WithSelectors(cfg.Selectors...),
-			WithRefine(cfg.Refine),
-			WithGridPoints(cfg.GridPoints),
-			WithMinDelta(cfg.MinDelta),
-		).Adaptive()
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("plan adaptive analysis diverged for %+v:\n got %+v\nwant %+v", cfg, got, want)
+		// WithAdaptive reads only the segmentation knobs; the grid and
+		// execution fields map onto the matching plan options.
+		opts := append(planOptions(tc.opt), WithAdaptive(tc.cfg), WithGridPoints(tc.cfg.GridPoints), WithMinDelta(tc.cfg.MinDelta))
+		if got := runPlan(t, s, opts...).Adaptive(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("plan adaptive analysis diverged for %+v:\n got %+v\nwant %+v", tc, got, want)
 		}
 	}
 }

@@ -210,47 +210,57 @@ func TestPlanRunAdaptiveReport(t *testing.T) {
 	}
 }
 
+// TestPlanProgressAcrossPasses runs a refining standard plan and a
+// refining adaptive plan: both must report a refinement pass, and every
+// pass's PeriodsDone must reach its PeriodsTotal.
 func TestPlanProgressAcrossPasses(t *testing.T) {
-	s := uniformWorkload(t)
-	var mu sync.Mutex
-	var events []ProgressEvent
-	plan, err := NewAnalysis(s,
-		WithGrid(LogGrid(1, 50_000, 8)...),
-		WithRefine(4),
-		WithProgress(func(ev ProgressEvent) {
-			mu.Lock()
-			events = append(events, ev)
-			mu.Unlock()
-		}),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := plan.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if len(events) == 0 {
-		t.Fatal("no progress events")
-	}
-	maxPass := 0
-	done := map[int]int{}
-	total := map[int]int{}
-	for _, ev := range events {
-		if ev.Pass > maxPass {
-			maxPass = ev.Pass
-		}
-		if ev.Stage == ProgressPeriod {
-			done[ev.Pass] = ev.PeriodsDone
-		}
-		total[ev.Pass] = ev.PeriodsTotal
-	}
-	if maxPass != 1 {
-		t.Fatalf("max pass = %d, want 1 (refinement round)", maxPass)
-	}
-	for pass, tot := range total {
-		if done[pass] != tot {
-			t.Fatalf("pass %d: PeriodsDone %d never reached PeriodsTotal %d", pass, done[pass], tot)
-		}
+	for _, tc := range []struct {
+		name      string
+		s         *Stream
+		opts      []Option
+		exactPass bool // the refinement is exactly one more pass
+	}{
+		{"standard", uniformWorkload(t), []Option{WithGrid(LogGrid(1, 50_000, 8)...), WithRefine(4)}, true},
+		{"adaptive", twoModeWorkload(t), []Option{WithAdaptive(AdaptiveConfig{Bins: 60}), WithGridPoints(10), WithRefine(2)}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			var events []ProgressEvent
+			plan, err := NewAnalysis(tc.s, append(tc.opts, WithProgress(func(ev ProgressEvent) {
+				mu.Lock()
+				events = append(events, ev)
+				mu.Unlock()
+			}))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := plan.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if len(events) == 0 {
+				t.Fatal("no progress events")
+			}
+			maxPass := 0
+			done := map[int]int{}
+			total := map[int]int{}
+			for _, ev := range events {
+				if ev.Pass > maxPass {
+					maxPass = ev.Pass
+				}
+				if ev.Stage == ProgressPeriod {
+					done[ev.Pass] = ev.PeriodsDone
+				}
+				total[ev.Pass] = ev.PeriodsTotal
+			}
+			if maxPass < 1 || (tc.exactPass && maxPass != 1) {
+				t.Fatalf("max pass = %d, want 1 (refinement round)", maxPass)
+			}
+			for pass, tot := range total {
+				if done[pass] != tot {
+					t.Fatalf("pass %d: PeriodsDone %d never reached PeriodsTotal %d", pass, done[pass], tot)
+				}
+			}
+		})
 	}
 }
 

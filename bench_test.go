@@ -243,7 +243,7 @@ func BenchmarkAblationGridDense(b *testing.B) {
 // the stream, each rebuilding its own period arenas — which is what
 // figures.RunAll paid before the engine existed.
 // BenchmarkMultiSweepSeparateWrappers is the tighter comparison against
-// the current engine-backed entry points called one metric at a time.
+// the current engine, one sweep.Run pass per metric.
 func BenchmarkMultiSweepAllMetrics(b *testing.B) {
 	s := irvineStream(b)
 	grid := core.LogGrid(3600, s.Duration(), 6)
@@ -310,14 +310,10 @@ func BenchmarkMultiSweepSeparateWrappers(b *testing.B) {
 		if _, err := core.Sweep(context.Background(), s, grid, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := classic.Curve(context.Background(), s, grid, classic.Options{}); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := validate.TransitionLossCurve(context.Background(), s, grid, validate.Options{}); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := validate.ElongationCurve(context.Background(), s, grid, validate.Options{}); err != nil {
-			b.Fatal(err)
+		for _, obs := range []sweep.Observer{classic.NewObserver(), validate.NewTransitionLossObserver(), validate.NewElongationObserver()} {
+			if err := sweep.Run(context.Background(), s, grid, sweep.Options{}, obs); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
@@ -528,8 +524,9 @@ func BenchmarkSelectorScores(b *testing.B) {
 	}
 }
 
-// adaptiveBenchStream is the two-mode benchmark workload of the
-// adaptive analysis benchmarks.
+// adaptiveBenchStream is the two-mode workload of
+// BenchmarkAdaptiveAnalyze; internal/adaptive's reference benchmark
+// builds the same stream.
 func adaptiveBenchStream(b *testing.B) *Stream {
 	b.Helper()
 	s, err := synth.TwoMode(synth.TwoModeConfig{
@@ -541,29 +538,19 @@ func adaptiveBenchStream(b *testing.B) *Stream {
 	return s
 }
 
-// BenchmarkAdaptiveAnalyze vs BenchmarkAdaptiveAnalyzeReference: the
-// fused windowed-engine adaptive analysis (one engine pass serving the
-// global sweep and every segment sweep) against the retained
-// per-segment implementation (one core.SaturationScale pass per
-// segment plus one global pass). Both compute bit-identical results —
-// the equivalence tests in internal/adaptive pin that — so the delta
-// is pure engine-pass overhead: repeated canonicalisation, worker-pool
-// spin-up, and the lost cross-segment parallelism.
+// BenchmarkAdaptiveAnalyze is the fused windowed-engine adaptive
+// analysis: one engine pass serving the global sweep and every segment
+// sweep. internal/adaptive's BenchmarkAdaptiveAnalyzeReference prices
+// the per-segment implementation (one core.SaturationScale pass per
+// segment plus one global pass) on the same workload; both compute
+// bit-identical results, so the delta is pure engine-pass overhead —
+// repeated canonicalisation, worker-pool spin-up, and the lost
+// cross-segment parallelism.
 func BenchmarkAdaptiveAnalyze(b *testing.B) {
 	s := adaptiveBenchStream(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := adaptive.Analyze(context.Background(), s, adaptive.Config{GridPoints: 10}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAdaptiveAnalyzeReference(b *testing.B) {
-	s := adaptiveBenchStream(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := adaptive.AnalyzeReference(s, adaptive.Config{GridPoints: 10}); err != nil {
+		if _, err := adaptive.Analyze(context.Background(), s, adaptive.Config{GridPoints: 10}, core.Options{}, sweep.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -17,25 +17,25 @@
 // # The fused engine path
 //
 // Analyze determines every scale — the global one and one per
-// sufficiently populated segment — through the unified sweep engine's
-// windowed observer registration (sweep.RunWindowed): each analysis is
-// a resumable core.ScaleSearch, and each round batches the pending
-// sweep requests of all still-active searches into a single engine
-// pass. Per round, the stream is sorted and canonicalised once and all
-// segments' periods share one worker pool and one Config.MaxInFlight
+// sufficiently populated segment — as one core.Scope each, driven
+// together by core.RunScopes: each analysis is a resumable
+// core.ScaleSearch, and each round batches the pending sweep requests
+// of all still-active searches into a single engine pass. Per round,
+// the stream is sorted and canonicalised once and all segments'
+// periods share one worker pool and one sweep.Options.MaxInFlight
 // in-flight bound; across the whole analysis each (segment, ∆) CSR
 // arena is built and swept exactly once, refinement included. The
 // default Refine == 0 configuration is exactly one engine pass —
-// instead of the one core.SaturationScale pass per segment the
-// reference implementation performs (retained as AnalyzeReference,
-// equivalence-tested bit for bit against Analyze).
+// instead of the one core.SaturationScale pass per segment a
+// per-segment implementation performs (the package tests keep one as
+// the bit-exact reference).
 //
 // Coinciding scopes deduplicate inside the engine: on a homogeneous
 // stream the single activity segment covers exactly the global scope
 // with an identical candidate grid, so every (window, ∆) period is
 // built and swept once and its products fan to both searches
-// (Config.Stats.Dedups instruments it; the result is bit-identical to
-// two separate sweeps).
+// (sweep.RunStats.Dedups counts it; the result is bit-identical to two
+// separate sweeps).
 package adaptive
 
 import (
@@ -45,13 +45,15 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/linkstream"
 	"repro/internal/sweep"
 )
 
-// Config parameterises the adaptive analysis. The zero value picks
-// sensible defaults.
+// Config parameterises the activity segmentation and the candidate
+// grids of the adaptive analysis. The zero value picks sensible
+// defaults. The scale searches' own knobs (selectors, refinement,
+// bisection) and the engine's (orientation, workers, budgets, progress,
+// counters) are Analyze's core.Options and sweep.Options arguments.
 type Config struct {
 	// Bins is the number of equal time bins used to estimate the
 	// activity profile (default 100, capped at the stream's time span so
@@ -71,37 +73,6 @@ type Config struct {
 	// global sweep (default: the stream's resolution). Segment sweeps
 	// always start at their own resolution.
 	MinDelta int64
-	// Refine, when positive, adds that many refinement points around
-	// each search's best ∆ and re-sweeps once (see core.Options.Refine);
-	// refinement rounds batch across segments like initial rounds do.
-	Refine int
-	// Selectors are the uniformity measures scoring each ∆ (default:
-	// M-K proximity only). The first selector decides every γ.
-	Selectors []dist.Selector
-	// Directed and Workers are passed through to the occupancy method.
-	Directed bool
-	Workers  int
-	// MaxInFlight bounds how many aggregation periods the fused engine
-	// pass keeps resident at once, across all segments (<= 0 selects the
-	// engine default).
-	MaxInFlight int
-	// LaneWidth pins the engine's destination-lane width for every
-	// fused pass (0 auto, 4 or 8); see sweep.Options.LaneWidth.
-	LaneWidth int
-	// Speculate switches every scale search to speculative bracket
-	// bisection (see core.Options.Speculate): each refinement round of
-	// each search stages both candidate half-midpoints at once, and the
-	// fused round batches the speculative grids of all still-active
-	// searches into the same engine pass. Results are bit-identical to
-	// Refine-round serial bisection.
-	Speculate bool
-	// Progress, when non-nil, receives the engine's progress events for
-	// every fused pass of the analysis, with ProgressEvent.Pass set to
-	// the bisection round the pass serves.
-	Progress func(sweep.ProgressEvent)
-	// Stats, when non-nil, accumulates the engine counters of every
-	// pass of the analysis (see sweep.Options.Stats).
-	Stats *sweep.RunStats
 }
 
 func (c Config) withDefaults() Config {
@@ -118,20 +89,6 @@ func (c Config) withDefaults() Config {
 		c.GridPoints = 24
 	}
 	return c
-}
-
-// coreOptions builds the occupancy-method options of one scale search.
-func (c Config) coreOptions(grid []int64) core.Options {
-	return core.Options{
-		Directed:    c.Directed,
-		Workers:     c.Workers,
-		Selectors:   c.Selectors,
-		Refine:      c.Refine,
-		MaxInFlight: c.MaxInFlight,
-		LaneWidth:   c.LaneWidth,
-		Speculate:   c.Speculate,
-		Grid:        grid,
-	}
 }
 
 // Segment is one maximal run of bins sharing an activity mode.
@@ -322,33 +279,15 @@ const minSegmentEvents = 50
 
 // Analyze segments the stream and determines the occupancy-method
 // scale of the whole stream and of every sufficiently populated
-// segment, all through fused engine passes: one sweep.RunWindowed call
-// serves every still-active search per round (a single call in the
-// default Refine == 0 configuration). See the package documentation
-// for the sharing guarantees and AnalyzeReference for the retained
-// per-segment implementation.
-func Analyze(ctx context.Context, s *linkstream.Stream, cfg Config) (*Analysis, error) {
-	return AnalyzeWith(ctx, s, cfg)
-}
-
-// participant is one scale search of the fused analysis: the global one
-// (seg == nil) or a segment's.
-type participant struct {
-	search *core.ScaleSearch
-	seg    *Segment
-	start  int64
-	end    int64
-	res    core.Result
-	done   bool
-}
-
-// AnalyzeWith is Analyze with extra observers attached to the global
-// scope's initial engine pass: they see the whole stream's view and
-// every period of the global candidate grid for free — the fused
-// analogue of registering them with sweep.Run — so callers (cmd/tsscale
-// -adaptive -metrics=...) collect classical, distance or validation
-// curves from the very pass that prices the global scale.
-func AnalyzeWith(ctx context.Context, s *linkstream.Stream, cfg Config, global ...sweep.Observer) (*Analysis, error) {
+// segment, all through fused engine passes (core.RunScopes): one pass
+// serves every still-active search per round — a single pass in the
+// default Refine == 0 configuration. Every search runs with search's
+// options (its Grid is replaced by the scope's own) and every pass with
+// opt. The global observers ride the global scope's first pass: they
+// see the whole stream's view and every period of the global candidate
+// grid, so callers collect other curves from the very pass that prices
+// the global scale.
+func Analyze(ctx context.Context, s *linkstream.Stream, cfg Config, search core.Options, opt sweep.Options, global ...sweep.Observer) (*Analysis, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -364,85 +303,45 @@ func AnalyzeWith(ctx context.Context, s *linkstream.Stream, cfg Config, global .
 	s.Sort()
 	events := s.Events()
 
+	newScope := func(start, end int64, grid []int64) (*core.Scope, error) {
+		search.Grid = grid
+		sc, err := core.NewScaleSearch(search)
+		return &core.Scope{Start: start, End: end, Search: sc}, err
+	}
 	lo := cfg.MinDelta
 	if lo <= 0 {
 		lo = s.Resolution()
 	}
-	gsearch, err := core.NewScaleSearch(cfg.coreOptions(core.LogGrid(lo, s.Duration(), cfg.GridPoints)))
+	gscope, err := newScope(0, 0, core.LogGrid(lo, s.Duration(), cfg.GridPoints))
 	if err != nil {
 		return nil, err
 	}
-	parts := make([]*participant, 0, len(a.Segments)+1)
-	parts = append(parts, &participant{search: gsearch})
+	gscope.Observers = global
+	scopes := []*core.Scope{gscope}
+	analysed := make([]*Segment, 0, len(a.Segments))
 	for i := range a.Segments {
 		seg := &a.Segments[i]
 		sub := linkstream.WindowEvents(events, seg.Start, seg.End)
 		if len(sub) < minSegmentEvents {
 			continue
 		}
-		grid := core.LogGrid(linkstream.EventsResolution(sub), linkstream.EventsDuration(sub), cfg.GridPoints)
-		search, err := core.NewScaleSearch(cfg.coreOptions(grid))
+		sc, err := newScope(seg.Start, seg.End, core.LogGrid(linkstream.EventsResolution(sub), linkstream.EventsDuration(sub), cfg.GridPoints))
 		if err != nil {
 			return nil, fmt.Errorf("adaptive: segment [%d,%d): %w", seg.Start, seg.End, err)
 		}
-		parts = append(parts, &participant{search: search, seg: seg, start: seg.Start, end: seg.End})
+		scopes = append(scopes, sc)
+		analysed = append(analysed, seg)
+	}
+	if err := core.RunScopes(ctx, s, opt, scopes); err != nil {
+		return nil, err
 	}
 
-	engOpt := sweep.Options{Directed: cfg.Directed, Workers: cfg.Workers, MaxInFlight: cfg.MaxInFlight, LaneWidth: cfg.LaneWidth, Stats: cfg.Stats}
-	for round := 0; ; round++ {
-		if cfg.Progress != nil {
-			pass := round
-			engOpt.Progress = func(ev sweep.ProgressEvent) {
-				ev.Pass = pass
-				cfg.Progress(ev)
-			}
-		}
-		batch := make([]sweep.SegmentObserver, 0, len(parts))
-		waiting := make([]*participant, 0, len(parts))
-		for _, p := range parts {
-			if p.done {
-				continue
-			}
-			grid, obs, ok := p.search.Next()
-			if !ok {
-				res, err := p.search.Result()
-				if err != nil {
-					return nil, err
-				}
-				p.res, p.done = res, true
-				continue
-			}
-			observers := []sweep.Observer{obs}
-			if p.seg == nil && round == 0 {
-				observers = append(observers, global...)
-			}
-			batch = append(batch, sweep.SegmentObserver{Start: p.start, End: p.end, Grid: grid, Observers: observers})
-			waiting = append(waiting, p)
-		}
-		if len(batch) == 0 {
-			break
-		}
-		if err := sweep.RunWindowed(ctx, s, engOpt, batch...); err != nil {
-			return nil, err
-		}
-		for _, p := range waiting {
-			if err := p.search.Absorb(); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	for _, p := range parts {
-		if p.seg == nil {
-			a.Global = p.res
-			a.GlobalGamma = p.res.Gamma
-		} else {
-			p.seg.Gamma = p.res.Gamma
-		}
-	}
+	a.Global = gscope.Result
+	a.GlobalGamma = gscope.Result.Gamma
 	a.MinGamma = a.GlobalGamma
-	for _, seg := range a.Segments {
-		if seg.Gamma > 0 && seg.Gamma < a.MinGamma {
+	for i, seg := range analysed {
+		seg.Gamma = scopes[i+1].Result.Gamma
+		if seg.Gamma < a.MinGamma {
 			a.MinGamma = seg.Gamma
 		}
 	}

@@ -2,11 +2,12 @@ package adaptive
 
 import (
 	"context"
-
 	"errors"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/linkstream"
+	"repro/internal/sweep"
 	"repro/internal/synth"
 )
 
@@ -91,7 +92,7 @@ func TestSegmentsEmpty(t *testing.T) {
 
 func TestAnalyzeTwoMode(t *testing.T) {
 	s := twoModeStream(t)
-	a, err := Analyze(context.Background(), s, Config{Bins: 80, GridPoints: 12})
+	a, err := Analyze(context.Background(), s, Config{Bins: 80, GridPoints: 12}, core.Options{}, sweep.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestAnalyzeHomogeneousMatchesGlobal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Analyze(context.Background(), s, Config{GridPoints: 12})
+	a, err := Analyze(context.Background(), s, Config{GridPoints: 12}, core.Options{}, sweep.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,7 @@ package adaptive
 
 import (
 	"context"
-
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -12,6 +12,72 @@ import (
 	"repro/internal/sweep"
 	"repro/internal/synth"
 )
+
+// AnalyzeReference is the per-segment implementation of Analyze: one
+// full occupancy-method search over the whole stream plus one pass per
+// sufficiently populated segment, each slicing and re-canonicalising its
+// own copy of the events and spinning its own engine. It computes
+// exactly what Analyze computes — the tests below pin the two bit for
+// bit — at the cost of one engine pass per segment instead of one per
+// analysis round. opt.Stats counts every one of those passes.
+func AnalyzeReference(s *linkstream.Stream, cfg Config, search core.Options, opt sweep.Options) (*Analysis, error) {
+	cfg = cfg.withDefaults()
+	ctx := context.Background()
+	scale := func(s *linkstream.Stream, grid []int64) (core.Result, error) {
+		search.Grid = grid
+		return core.SaturationScaleWith(ctx, search, func(grid []int64, obs sweep.Observer) error {
+			return sweep.Run(ctx, s, grid, opt, obs)
+		})
+	}
+	segs, twoMode, err := Segments(s, cfg)
+	if err != nil {
+		return nil, err
+	}
+	lo := cfg.MinDelta
+	if lo <= 0 {
+		lo = s.Resolution()
+	}
+	global, err := scale(s, core.LogGrid(lo, s.Duration(), cfg.GridPoints))
+	if err != nil {
+		return nil, err
+	}
+	a := &Analysis{Segments: segs, TwoMode: twoMode, Global: global, GlobalGamma: global.Gamma}
+	a.MinGamma = global.Gamma
+	for i := range a.Segments {
+		seg := &a.Segments[i]
+		sub := s.SliceTime(seg.Start, seg.End)
+		if sub.NumEvents() < minSegmentEvents {
+			continue
+		}
+		res, err := scale(sub, core.LogGrid(sub.Resolution(), sub.Duration(), cfg.GridPoints))
+		if err != nil {
+			return nil, fmt.Errorf("adaptive: segment [%d,%d): %w", seg.Start, seg.End, err)
+		}
+		seg.Gamma = res.Gamma
+		if res.Gamma < a.MinGamma {
+			a.MinGamma = res.Gamma
+		}
+	}
+	return a, nil
+}
+
+// BenchmarkAdaptiveAnalyzeReference prices the per-segment
+// implementation on the workload of the root package's
+// BenchmarkAdaptiveAnalyze.
+func BenchmarkAdaptiveAnalyzeReference(b *testing.B) {
+	s, err := synth.TwoMode(synth.TwoModeConfig{
+		Nodes: 16, N1: 12, N2: 1, T1: 10_000, T2: 10_000, Alternations: 4, Seed: 8,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := AnalyzeReference(s, Config{GridPoints: 10}, core.Options{}, sweep.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // heteroStream builds a seeded two-mode workload with random link
 // orientation so directed analyses exercise both edge directions —
@@ -57,17 +123,15 @@ func TestAnalyzeMatchesReference(t *testing.T) {
 	for _, directed := range []bool{false, true} {
 		for seed := int64(1); seed <= 3; seed++ {
 			s := heteroStream(t, seed)
-			cfg := Config{Bins: 60, GridPoints: 8, Directed: directed}
-			want, err := AnalyzeReference(s, cfg)
+			cfg := Config{Bins: 60, GridPoints: 8}
+			want, err := AnalyzeReference(s, cfg, core.Options{}, sweep.Options{Directed: directed})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 3} {
 				for _, inFlight := range []int{1, 2, 0} {
-					cfg := cfg
-					cfg.Workers = workers
-					cfg.MaxInFlight = inFlight
-					got, err := Analyze(context.Background(), s, cfg)
+					opt := sweep.Options{Directed: directed, Workers: workers, MaxInFlight: inFlight}
+					got, err := Analyze(context.Background(), s, cfg, core.Options{}, opt)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -83,16 +147,16 @@ func TestAnalyzeMatchesReference(t *testing.T) {
 
 // TestAnalyzeMatchesReferenceRefine covers the multi-round protocol:
 // with Refine > 0 each search stages a second, refined grid, so the
-// fused path batches two (or more) RunWindowed passes — still
+// fused path runs two (or more) engine passes — still
 // bit-equal to the reference's refined per-segment passes.
 func TestAnalyzeMatchesReferenceRefine(t *testing.T) {
 	s := heteroStream(t, 2)
-	cfg := Config{Bins: 60, GridPoints: 8, Refine: 4, Workers: 2}
-	want, err := AnalyzeReference(s, cfg)
+	cfg, search, opt := Config{Bins: 60, GridPoints: 8}, core.Options{Refine: 4}, sweep.Options{Workers: 2}
+	want, err := AnalyzeReference(s, cfg, search, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Analyze(context.Background(), s, cfg)
+	got, err := Analyze(context.Background(), s, cfg, search, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,9 +195,7 @@ func TestAnalyzeOneEnginePass(t *testing.T) {
 	}
 
 	var st sweep.RunStats
-	fused := cfg
-	fused.Stats = &st
-	if _, err := Analyze(context.Background(), s, fused); err != nil {
+	if _, err := Analyze(context.Background(), s, cfg, core.Options{}, sweep.Options{Stats: &st}); err != nil {
 		t.Fatal(err)
 	}
 	if st.Passes != 1 {
@@ -146,9 +208,7 @@ func TestAnalyzeOneEnginePass(t *testing.T) {
 	// The reference pays one engine pass per analysed segment plus one
 	// for the global sweep.
 	var refStats sweep.RunStats
-	ref := cfg
-	ref.Stats = &refStats
-	if _, err := AnalyzeReference(s, ref); err != nil {
+	if _, err := AnalyzeReference(s, cfg, core.Options{}, sweep.Options{Stats: &refStats}); err != nil {
 		t.Fatal(err)
 	}
 	if refStats.Passes != int64(1+analysed) {
@@ -170,15 +230,13 @@ func TestAnalyzeHomogeneousDedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{GridPoints: 12}
-	want, err := AnalyzeReference(s, cfg)
+	want, err := AnalyzeReference(s, cfg, core.Options{}, sweep.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	grid := core.LogGrid(s.Resolution(), s.Duration(), cfg.withDefaults().GridPoints)
 	var st sweep.RunStats
-	fused := cfg
-	fused.Stats = &st
-	got, err := Analyze(context.Background(), s, fused)
+	got, err := Analyze(context.Background(), s, cfg, core.Options{}, sweep.Options{Stats: &st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,13 +262,13 @@ func TestAnalyzeHomogeneousDedup(t *testing.T) {
 	}
 }
 
-// TestAnalyzeWithGlobalObservers checks the extra observers of
-// AnalyzeWith see the whole stream and exactly the global grid.
+// TestAnalyzeWithGlobalObservers checks the global observers of
+// Analyze see the whole stream and exactly the global grid.
 func TestAnalyzeWithGlobalObservers(t *testing.T) {
 	s := heteroStream(t, 3)
 	cfg := Config{Bins: 60, GridPoints: 8}
 	obs := sweep.NewDistanceObserver()
-	a, err := AnalyzeWith(context.Background(), s, cfg, obs)
+	a, err := Analyze(context.Background(), s, cfg, core.Options{}, sweep.Options{}, obs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,20 +288,18 @@ func TestAnalyzeWithGlobalObservers(t *testing.T) {
 
 // TestAnalyzeSpeculativeMatchesSerial pins the fused speculative path:
 // batching both half-midpoints of every active search into one
-// RunWindowed pass per round returns exactly the serial bisection's
+// fused pass per round returns exactly the serial bisection's
 // analysis (the reference drives the same speculative searches one
 // stream at a time), for every lane width.
 func TestAnalyzeSpeculativeMatchesSerial(t *testing.T) {
 	s := heteroStream(t, 2)
-	cfg := Config{Bins: 60, GridPoints: 8, Refine: 3, Workers: 2, Speculate: true}
-	want, err := AnalyzeReference(s, cfg)
+	cfg, search := Config{Bins: 60, GridPoints: 8}, core.Options{Refine: 3, Speculate: true}
+	want, err := AnalyzeReference(s, cfg, search, sweep.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, width := range []int{0, 4, 8} {
-		cfg := cfg
-		cfg.LaneWidth = width
-		got, err := Analyze(context.Background(), s, cfg)
+		got, err := Analyze(context.Background(), s, cfg, search, sweep.Options{Workers: 2, LaneWidth: width})
 		if err != nil {
 			t.Fatal(err)
 		}

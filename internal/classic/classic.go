@@ -6,7 +6,6 @@
 package classic
 
 import (
-	"context"
 	"errors"
 
 	"repro/internal/linkstream"
@@ -37,13 +36,10 @@ type Point struct {
 	FinitePairs     int64   `json:"finite_pairs"`
 }
 
-// Options configures the sweep.
+// Options configures the per-period reference computations.
 type Options struct {
 	Directed bool
 	Workers  int
-	// MaxInFlight bounds the periods the sweep engine keeps resident;
-	// <= 0 selects the engine default.
-	MaxInFlight int
 }
 
 // Observer collects the Figure 2 quantities as a sweep-engine
@@ -89,31 +85,9 @@ func (o *Observer) ObservePeriod(p *sweep.Period) error {
 // returns without error.
 func (o *Observer) Points() []Point { return o.points }
 
-// Curve computes the Figure 2 quantities for every period in grid, as
-// one pass of the unified sweep engine (each period's CSR is built
-// once, swept once for the distances and scanned once for the window
-// statistics, then freed).
-func Curve(ctx context.Context, s *linkstream.Stream, grid []int64, opt Options) ([]Point, error) {
-	if s.NumEvents() == 0 {
-		return nil, errors.New("classic: stream has no events")
-	}
-	if len(grid) == 0 {
-		return nil, errors.New("classic: empty grid")
-	}
-	obs := NewObserver()
-	err := sweep.Run(ctx, s, grid, sweep.Options{
-		Directed:    opt.Directed,
-		Workers:     opt.Workers,
-		MaxInFlight: opt.MaxInFlight,
-	}, obs)
-	if err != nil {
-		return nil, err
-	}
-	return obs.Points(), nil
-}
-
-// CurveReference is the seed implementation of Curve: one At call — a
-// full Series aggregation plus a dedicated distance pass — per period.
+// CurveReference is the seed implementation of the Observer's curve:
+// one At call — a full Series aggregation plus a dedicated distance
+// pass — per period.
 // Retained as the behavioural reference for the equivalence tests and
 // the separate-passes benchmarks.
 func CurveReference(s *linkstream.Stream, grid []int64, opt Options) ([]Point, error) {

@@ -2,11 +2,11 @@ package classic
 
 import (
 	"context"
-
 	"math/rand"
 	"testing"
 
 	"repro/internal/linkstream"
+	"repro/internal/sweep"
 )
 
 func uniformStream(t testing.TB, n, perPair int, T int64, seed int64) *linkstream.Stream {
@@ -33,10 +33,11 @@ func TestCurveMonotoneTrends(t *testing.T) {
 	// Verify the endpoints and overall drift on a time-uniform stream.
 	s := uniformStream(t, 8, 3, 10_000, 1)
 	grid := []int64{1, 100, 1000, 10_000}
-	points, err := Curve(context.Background(), s, grid, Options{Workers: 2})
-	if err != nil {
+	obs := NewObserver()
+	if err := sweep.Run(context.Background(), s, grid, sweep.Options{Workers: 2}, obs); err != nil {
 		t.Fatal(err)
 	}
+	points := obs.Points()
 	if len(points) != len(grid) {
 		t.Fatalf("points = %d, want %d", len(points), len(grid))
 	}
@@ -90,11 +91,11 @@ func TestAtConsistency(t *testing.T) {
 
 func TestCurveErrors(t *testing.T) {
 	empty := linkstream.New()
-	if _, err := Curve(context.Background(), empty, []int64{1}, Options{}); err == nil {
+	if err := sweep.Run(context.Background(), empty, []int64{1}, sweep.Options{}, NewObserver()); err == nil {
 		t.Fatal("empty stream should error")
 	}
 	s := uniformStream(t, 4, 1, 100, 3)
-	if _, err := Curve(context.Background(), s, nil, Options{}); err == nil {
+	if err := sweep.Run(context.Background(), s, nil, sweep.Options{}, NewObserver()); err == nil {
 		t.Fatal("empty grid should error")
 	}
 	if _, err := At(s, 0, Options{}); err == nil {

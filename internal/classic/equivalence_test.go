@@ -2,11 +2,11 @@ package classic
 
 import (
 	"context"
-
 	"math/rand"
 	"testing"
 
 	"repro/internal/linkstream"
+	"repro/internal/sweep"
 )
 
 func mixedStream(t testing.TB, n, perPair int, T int64, seed int64) *linkstream.Stream {
@@ -30,7 +30,7 @@ func mixedStream(t testing.TB, n, perPair int, T int64, seed int64) *linkstream.
 	return s
 }
 
-// TestCurveMatchesReference asserts the engine-backed Curve reproduces
+// TestCurveMatchesReference asserts the engine Observer reproduces
 // the seed per-∆ implementation (Series aggregation + snapshot stats +
 // dedicated distance pass) exactly, field by field, on seeded
 // workloads, directed and undirected.
@@ -44,10 +44,11 @@ func TestCurveMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 4} {
-				got, err := Curve(context.Background(), s, grid, Options{Directed: directed, Workers: workers, MaxInFlight: 2})
-				if err != nil {
+				obs := NewObserver()
+				if err := sweep.Run(context.Background(), s, grid, sweep.Options{Directed: directed, Workers: workers, MaxInFlight: 2}, obs); err != nil {
 					t.Fatal(err)
 				}
+				got := obs.Points()
 				if len(got) != len(want) {
 					t.Fatalf("got %d points, want %d", len(got), len(want))
 				}

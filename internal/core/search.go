@@ -4,14 +4,15 @@ package core
 // occupancy method: SaturationScale's sweep-then-refine loop factored
 // into a resumable state machine (ScaleSearch) whose engine passes are
 // supplied by the caller. A single search is SaturationScaleWith; many
-// concurrent searches — one per activity segment, as internal/adaptive
-// runs them — batch the requests of each round into one fused
-// sweep.RunWindowed pass, so every segment's grid flows through one
-// engine pipeline under the shared MaxInFlight bound. Batched searches
-// whose windows and candidate periods coincide (a homogeneous stream's
-// single segment against the global search) are deduplicated by the
-// engine itself: one (window, ∆) CSR build serves every search that
-// requested it, bit-identically.
+// concurrent searches — the plan's global scope and windows, or the
+// adaptive analysis's global and per-segment scopes — run through
+// RunScopes, which batches the requests of each round into one fused
+// sweep.RunSource pass, so every scope's grid flows through one engine
+// pipeline under the shared MaxInFlight bound. Batched searches whose
+// windows and candidate periods coincide (a homogeneous stream's single
+// segment against the global search) are deduplicated by the engine
+// itself: one (window, ∆) CSR build serves every search that requested
+// it, bit-identically.
 
 import (
 	"context"
@@ -282,9 +283,7 @@ func (sc *ScaleSearch) Result() (Result, error) {
 // caller-supplied engine pass: every grid the search stages is handed
 // to run together with the observer that scores it. SaturationScale is
 // SaturationScaleWith over a plain sweep.Run; callers fusing several
-// analyses into shared engine passes (internal/adaptive) drive the
-// ScaleSearch protocol directly and batch the requests of concurrent
-// searches into single sweep.RunWindowed invocations.
+// analyses into shared engine passes use RunScopes instead.
 func SaturationScaleWith(ctx context.Context, opt Options, run SweepRunner) (Result, error) {
 	sc, err := NewScaleSearch(opt)
 	if err != nil {
@@ -306,4 +305,89 @@ func SaturationScaleWith(ctx context.Context, opt Options, run SweepRunner) (Res
 		}
 	}
 	return sc.Result()
+}
+
+// Scope is one analysis scope of a fused run (see RunScopes): a raw-time
+// window with its candidate grid, an optional occupancy scale search
+// and the co-observers that ride the scope's first engine pass.
+type Scope struct {
+	// Start, End bound the scope to [Start, End); Start >= End selects
+	// the whole stream (see sweep.SegmentObserver).
+	Start, End int64
+	// Grid is the candidate grid Observers see. A scope with a Search
+	// sweeps the grids the search requests instead.
+	Grid []int64
+	// Search, when non-nil, is driven to convergence.
+	Search *ScaleSearch
+	// Observers are registered on the scope's round-0 pass only.
+	Observers []sweep.Observer
+	// Result is the converged search's outcome; HasResult reports it
+	// was filled.
+	Result    Result
+	HasResult bool
+}
+
+// RunScopes executes scopes as fused engine passes, one per bisection
+// round: round 0 batches every scope (its search's first grid plus its
+// co-observers) and the raw segments, later rounds only the searches
+// still refining. A scope without a search is done after round 0. Each
+// pass runs through sweep.RunSource with opt; opt.Progress, when set,
+// receives every pass's events with ProgressEvent.Pass set to the
+// round, and opt.Stats accumulates across passes. The first error
+// aborts the run.
+func RunScopes(ctx context.Context, src sweep.StreamSource, opt sweep.Options, scopes []*Scope, raw ...sweep.SegmentObserver) error {
+	progress := opt.Progress
+	active := scopes
+	for round := 0; ; round++ {
+		batch := make([]sweep.SegmentObserver, 0, len(active)+len(raw))
+		var searching []*Scope
+		for _, sc := range active {
+			grid, observers := sc.Grid, []sweep.Observer(nil)
+			if sc.Search != nil {
+				g, obs, ok := sc.Search.Next()
+				if !ok {
+					return errors.New("core: RunScopes: scale search has no pending sweep request")
+				}
+				grid, observers = g, append(observers, obs)
+				searching = append(searching, sc)
+			}
+			if round == 0 {
+				observers = append(observers, sc.Observers...)
+			}
+			if len(observers) > 0 {
+				batch = append(batch, sweep.SegmentObserver{Start: sc.Start, End: sc.End, Grid: grid, Observers: observers})
+			}
+		}
+		if round == 0 {
+			batch = append(batch, raw...)
+		}
+		if len(batch) == 0 {
+			return nil
+		}
+		if progress != nil {
+			pass := round
+			opt.Progress = func(ev sweep.ProgressEvent) {
+				ev.Pass = pass
+				progress(ev)
+			}
+		}
+		if err := sweep.RunSource(ctx, src, opt, batch...); err != nil {
+			return err
+		}
+		active = nil
+		for _, sc := range searching {
+			if err := sc.Search.Absorb(); err != nil {
+				return err
+			}
+			if !sc.Search.Done() {
+				active = append(active, sc)
+				continue
+			}
+			res, err := sc.Search.Result()
+			if err != nil {
+				return err
+			}
+			sc.Result, sc.HasResult = res, true
+		}
+	}
 }

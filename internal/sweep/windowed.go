@@ -7,10 +7,11 @@ package sweep
 // segment by binary search (zero-copy sub-slices of the shared buffer),
 // and pipelines every (segment, ∆) period through the one bounded
 // in-flight scheduler and worker pool; finalize routes each period's
-// products to the owning segment's observers. This is what lets the
-// adaptive multi-segment analysis (internal/adaptive) run the global
-// sweep and every per-segment sweep in a single engine pass instead of
-// one core.SaturationScale pass per segment.
+// products to the owning segment's observers. This is what lets
+// core.RunScopes run every scope of a round — a plan's global scope
+// and windows, or the adaptive analysis's global and per-segment
+// searches — in a single engine pass instead of one
+// core.SaturationScale pass per scope.
 //
 // Coinciding work is deduplicated at two levels. Segments whose event
 // windows coincide share one raw-stream trip enumeration (one stream

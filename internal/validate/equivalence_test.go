@@ -46,10 +46,11 @@ func TestTransitionLossMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := TransitionLossCurve(context.Background(), s, grid, Options{Directed: directed, Workers: 3, MaxInFlight: 2})
-			if err != nil {
+			obs := NewTransitionLossObserver()
+			if err := sweep.Run(context.Background(), s, grid, sweep.Options{Directed: directed, Workers: 3, MaxInFlight: 2}, obs); err != nil {
 				t.Fatal(err)
 			}
+			got := obs.Points()
 			if len(got) != len(want) {
 				t.Fatalf("got %d points, want %d", len(got), len(want))
 			}
@@ -80,10 +81,11 @@ func TestElongationMatchesReference(t *testing.T) {
 			}
 			for _, workers := range []int{1, 4} {
 				for _, inFlight := range []int{1, 2, 0} {
-					got, err := ElongationCurve(context.Background(), s, grid, Options{Directed: directed, Workers: workers, MaxInFlight: inFlight})
-					if err != nil {
+					obs := NewElongationObserver()
+					if err := sweep.Run(context.Background(), s, grid, sweep.Options{Directed: directed, Workers: workers, MaxInFlight: inFlight}, obs); err != nil {
 						t.Fatal(err)
 					}
+					got := obs.Points()
 					if len(got) != len(want) {
 						t.Fatalf("got %d points, want %d", len(got), len(want))
 					}

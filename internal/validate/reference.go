@@ -16,8 +16,8 @@ import (
 // implementation folds the elongation sum as per-destination subtotals
 // in destination order.
 
-// TransitionLossCurveReference is the seed implementation of
-// TransitionLossCurve: enumerate the stream's shortest transitions with
+// TransitionLossCurveReference is the seed implementation of the
+// TransitionLossObserver curve: enumerate the stream's shortest transitions with
 // a dedicated temporal pass, then scan them per period. Retained as the
 // behavioural reference for the equivalence tests and the
 // separate-passes benchmarks.
@@ -48,8 +48,8 @@ func TransitionLossCurveReference(s *linkstream.Stream, grid []int64, opt Option
 	return points, nil
 }
 
-// ElongationCurveReference is the seed implementation of
-// ElongationCurve: one stream-trip enumeration for the pair index, then
+// ElongationCurveReference is the seed implementation of the
+// ElongationObserver curve: one stream-trip enumeration for the pair index, then
 // one Series aggregation plus one trip enumeration per period. The trip
 // enumeration is destination-major for any worker count, and the sum is
 // folded as per-destination subtotals in destination order — the same

@@ -138,11 +138,11 @@ func TestElongationSpillForcedBitExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inRAM, err := ElongationCurve(context.Background(), s, grid,
-			Options{Directed: directed, Workers: 3, MaxInFlight: 2})
-		if err != nil {
+		obs := NewElongationObserver()
+		if err := sweep.Run(context.Background(), s, grid, sweep.Options{Directed: directed, Workers: 3, MaxInFlight: 2}, obs); err != nil {
 			t.Fatal(err)
 		}
+		inRAM := obs.Points()
 
 		spilling := NewElongationObserver()
 		spilling.SpillBytes = 1

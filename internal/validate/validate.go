@@ -21,33 +21,18 @@
 package validate
 
 import (
-	"context"
-	"errors"
 	"sort"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/linkstream"
 	"repro/internal/sweep"
 	"repro/internal/temporal"
 )
 
-// Options configures the validation sweeps.
+// Options configures the reference implementations.
 type Options struct {
 	Directed bool
 	Workers  int
-	// MaxInFlight bounds the periods the sweep engine keeps resident;
-	// <= 0 selects the engine default.
-	MaxInFlight int
-	// SpillBytes caps the resident bytes of the elongation observer's
-	// delta-encoded pair-span arena; beyond the cap finished regions
-	// spill to an unlinked temp file re-read during scoring. <= 0 keeps
-	// the whole arena in RAM. The curve is bit-identical either way.
-	SpillBytes int64
-}
-
-func (o Options) engine() sweep.Options {
-	return sweep.Options{Directed: o.Directed, Workers: o.Workers, MaxInFlight: o.MaxInFlight}
 }
 
 // LossPoint is the Figure 8 (left) value at one aggregation period.
@@ -128,23 +113,6 @@ func lossPoint(spans []tripSpan, t0, delta int64) LossPoint {
 // Points returns the loss curve in grid order. Valid after sweep.Run
 // returns without error.
 func (o *TransitionLossObserver) Points() []LossPoint { return o.points }
-
-// TransitionLossCurve computes the proportion of lost shortest
-// transitions for every period in grid, as one engine run with a
-// TransitionLossObserver.
-func TransitionLossCurve(ctx context.Context, s *linkstream.Stream, grid []int64, opt Options) ([]LossPoint, error) {
-	if s.NumEvents() == 0 {
-		return nil, errors.New("validate: stream has no events")
-	}
-	if len(grid) == 0 {
-		return nil, errors.New("validate: empty grid")
-	}
-	obs := NewTransitionLossObserver()
-	if err := sweep.Run(ctx, s, grid, opt.engine(), obs); err != nil {
-		return nil, err
-	}
-	return obs.Points(), nil
-}
 
 // tripSpan is one minimal trip interval of the original stream.
 type tripSpan struct {
@@ -380,8 +348,10 @@ type ElongationPoint struct {
 // bit-for-bit deterministic for any worker count, any spill cap, and
 // identical to an eager scan of the whole-period trip blocks.
 type ElongationObserver struct {
-	// SpillBytes caps the arena's resident bytes (Options.SpillBytes);
-	// set before the run begins. <= 0 keeps everything in RAM.
+	// SpillBytes caps the arena's resident bytes; beyond the cap
+	// finished regions spill to an unlinked temp file re-read during
+	// scoring. Set it before the run begins; <= 0 keeps everything in
+	// RAM. The curve is bit-identical either way.
 	SpillBytes int64
 
 	t0        int64
@@ -527,21 +497,3 @@ func (o *ElongationObserver) ObservePeriod(p *sweep.Period) error {
 // Points returns the elongation curve in grid order. Valid after
 // sweep.Run returns without error.
 func (o *ElongationObserver) Points() []ElongationPoint { return o.points }
-
-// ElongationCurve computes the mean elongation factor of the minimal
-// trips of G∆ for every period in grid, as one engine run with an
-// ElongationObserver.
-func ElongationCurve(ctx context.Context, s *linkstream.Stream, grid []int64, opt Options) ([]ElongationPoint, error) {
-	if s.NumEvents() == 0 {
-		return nil, errors.New("validate: stream has no events")
-	}
-	if len(grid) == 0 {
-		return nil, errors.New("validate: empty grid")
-	}
-	obs := NewElongationObserver()
-	obs.SpillBytes = opt.SpillBytes
-	if err := sweep.Run(ctx, s, grid, opt.engine(), obs); err != nil {
-		return nil, err
-	}
-	return obs.Points(), nil
-}

@@ -2,11 +2,11 @@ package validate
 
 import (
 	"context"
-
 	"math/rand"
 	"testing"
 
 	"repro/internal/linkstream"
+	"repro/internal/sweep"
 	"repro/internal/temporal"
 )
 
@@ -45,10 +45,11 @@ func uniformStream(t testing.TB, n, perPair int, T int64, seed int64) *linkstrea
 
 func TestTransitionLossChain(t *testing.T) {
 	s := chainStream(t)
-	points, err := TransitionLossCurve(context.Background(), s, []int64{1, 15, 100}, Options{Workers: 1})
-	if err != nil {
+	obs := NewTransitionLossObserver()
+	if err := sweep.Run(context.Background(), s, []int64{1, 15, 100}, sweep.Options{Workers: 1}, obs); err != nil {
 		t.Fatal(err)
 	}
+	points := obs.Points()
 	if points[0].Total != 2 {
 		t.Fatalf("total transitions = %d, want 2", points[0].Total)
 	}
@@ -70,10 +71,11 @@ func TestTransitionLossChain(t *testing.T) {
 func TestTransitionLossMonotoneOnAlignedGrid(t *testing.T) {
 	s := uniformStream(t, 6, 3, 4096, 1)
 	grid := []int64{1, 2, 4, 8, 16, 64, 256, 4096}
-	points, err := TransitionLossCurve(context.Background(), s, grid, Options{Workers: 1})
-	if err != nil {
+	obs := NewTransitionLossObserver()
+	if err := sweep.Run(context.Background(), s, grid, sweep.Options{Workers: 1}, obs); err != nil {
 		t.Fatal(err)
 	}
+	points := obs.Points()
 	for i := 1; i < len(points); i++ {
 		if points[i].Lost < points[i-1].Lost {
 			t.Fatalf("loss not monotone on aligned grid: %v then %v",
@@ -96,10 +98,11 @@ func TestElongationChain(t *testing.T) {
 	// twice in W0... so a->d unreachable. For b->d: real interval
 	// [10, 32], stream trip b->d: b-c at 20, c-d at 30 -> duration 10.
 	// Elongation = (1-0+1)*11 / 10 = 2.2.
-	points, err := ElongationCurve(context.Background(), s, []int64{11}, Options{Workers: 1})
-	if err != nil {
+	obs := NewElongationObserver()
+	if err := sweep.Run(context.Background(), s, []int64{11}, sweep.Options{Workers: 1}, obs); err != nil {
 		t.Fatal(err)
 	}
+	points := obs.Points()
 	p := points[0]
 	if p.Unmatched != 0 {
 		t.Fatalf("unmatched trips: %+v", p)
@@ -122,10 +125,11 @@ func TestElongationNearOneAtFineScales(t *testing.T) {
 	// Definition 8 is negligible and elongation sits essentially at 1
 	// when ∆ equals the resolution.
 	s := uniformStream(t, 6, 4, 500_000, 2)
-	points, err := ElongationCurve(context.Background(), s, []int64{1, 2}, Options{Workers: 2})
-	if err != nil {
+	obs := NewElongationObserver()
+	if err := sweep.Run(context.Background(), s, []int64{1, 2}, sweep.Options{Workers: 2}, obs); err != nil {
 		t.Fatal(err)
 	}
+	points := obs.Points()
 	for _, p := range points {
 		if p.Unmatched != 0 {
 			t.Fatalf("unmatched trips at ∆=%d: %+v", p.Delta, p)
@@ -138,10 +142,11 @@ func TestElongationNearOneAtFineScales(t *testing.T) {
 
 func TestElongationGrowsWithDelta(t *testing.T) {
 	s := uniformStream(t, 8, 3, 10_000, 3)
-	points, err := ElongationCurve(context.Background(), s, []int64{2, 1500}, Options{Workers: 2})
-	if err != nil {
+	obs := NewElongationObserver()
+	if err := sweep.Run(context.Background(), s, []int64{2, 1500}, sweep.Options{Workers: 2}, obs); err != nil {
 		t.Fatal(err)
 	}
+	points := obs.Points()
 	if len(points) == 2 && points[0].Trips > 0 && points[1].Trips > 0 {
 		if points[1].MeanElongation <= points[0].MeanElongation {
 			t.Fatalf("elongation should grow: %v -> %v",
@@ -152,17 +157,17 @@ func TestElongationGrowsWithDelta(t *testing.T) {
 
 func TestValidateErrors(t *testing.T) {
 	empty := linkstream.New()
-	if _, err := TransitionLossCurve(context.Background(), empty, []int64{1}, Options{}); err == nil {
+	if err := sweep.Run(context.Background(), empty, []int64{1}, sweep.Options{}, NewTransitionLossObserver()); err == nil {
 		t.Fatal("empty stream should error")
 	}
-	if _, err := ElongationCurve(context.Background(), empty, []int64{1}, Options{}); err == nil {
+	if err := sweep.Run(context.Background(), empty, []int64{1}, sweep.Options{}, NewElongationObserver()); err == nil {
 		t.Fatal("empty stream should error")
 	}
 	s := chainStream(t)
-	if _, err := TransitionLossCurve(context.Background(), s, nil, Options{}); err == nil {
+	if err := sweep.Run(context.Background(), s, nil, sweep.Options{}, NewTransitionLossObserver()); err == nil {
 		t.Fatal("empty grid should error")
 	}
-	if _, err := ElongationCurve(context.Background(), s, nil, Options{}); err == nil {
+	if err := sweep.Run(context.Background(), s, nil, sweep.Options{}, NewElongationObserver()); err == nil {
 		t.Fatal("empty grid should error")
 	}
 }

@@ -3,11 +3,10 @@ package repro
 // This file defines the functional options of the plan/run lifecycle:
 // repro.NewAnalysis(stream, ...Option) freezes them into an immutable
 // Plan, Plan.Run(ctx) executes the plan as fused sweep-engine passes.
-// Every knob of the per-package option structs (core.Options,
-// classic.Options, validate.Options, adaptive.Config, sweep.Options)
-// maps onto exactly one Option here, so
-// any combination of metrics, windows and policies composes in a single
-// request.
+// Every knob of the scale search (core.Options) and of the engine
+// (sweep.Options) maps onto exactly one Option here, and WithAdaptive
+// adds only the adaptive segmentation policy, so any combination of
+// metrics, windows and policies composes in a single request.
 
 import (
 	"fmt"
@@ -367,12 +366,12 @@ func WithSegments(segments ...SegmentObserver) Option {
 // and a saturation scale is determined for the whole stream and every
 // sufficiently populated segment, all through fused engine passes
 // (Report.Adaptive holds the outcome). Only the segmentation fields of
-// cfg (Bins, MinRunBins, SeparationFactor) are read; the execution
-// knobs — orientation, workers, selectors, refinement, grids, budgets
-// — come from the plan's own options (WithDirected, WithWorkers,
-// WithSelectors, WithRefine, WithGridPoints, WithMinDelta,
-// WithMaxInFlight), exactly like every other metric, so option order
-// never matters.
+// cfg (Bins, MinRunBins, SeparationFactor) are read; the candidate
+// grids and execution knobs — grid points, smallest period,
+// orientation, workers, selectors, refinement, budgets — come from the
+// plan's own options (WithGridPoints, WithMinDelta, WithDirected,
+// WithWorkers, WithSelectors, WithRefine, WithMaxInFlight), exactly
+// like every other metric, so option order never matters.
 func WithAdaptive(cfg AdaptiveConfig) Option {
 	return func(c *planConfig) error {
 		frozen := AdaptiveConfig{

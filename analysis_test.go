@@ -323,7 +323,8 @@ func TestPlanRerun(t *testing.T) {
 
 // TestPlanLaneWidthAndSpeculate pins the new performance knobs at the
 // plan level: every lane width returns the identical report, the
-// speculative bisection returns the serial bisection's scale and curve,
+// speculative bisection is width-independent too but sweeps its own ∆
+// set (it is part of the result's identity, not an execution hint),
 // and the run's arena accounting balances.
 func TestPlanLaneWidthAndSpeculate(t *testing.T) {
 	s := twoModeWorkload(t)
@@ -354,16 +355,25 @@ func TestPlanLaneWidthAndSpeculate(t *testing.T) {
 		}
 	}
 	spec := run(WithSpeculate(true))
-	serial := run(WithSpeculate(true), WithLaneWidth(4))
-	if !reflect.DeepEqual(spec.Occupancy(), serial.Occupancy()) || spec.Gamma() != serial.Gamma() {
+	spec4 := run(WithSpeculate(true), WithLaneWidth(4))
+	if !reflect.DeepEqual(spec.Occupancy(), spec4.Occupancy()) || spec.Gamma() != spec4.Gamma() {
 		t.Fatal("speculative reports diverged across widths")
+	}
+	deltas := func(r *Report) []int64 {
+		var ds []int64
+		for _, p := range r.Occupancy() {
+			ds = append(ds, p.Delta)
+		}
+		return ds
+	}
+	if reflect.DeepEqual(deltas(spec), deltas(ref)) {
+		t.Fatalf("speculation swept the one-shot refine's ∆ set %v; the two modes must differ here", deltas(ref))
 	}
 	if spec.Gamma() == 0 || len(spec.Occupancy()) <= len(ref.Occupancy())-2*3 {
 		t.Fatalf("speculative run looks degenerate: γ=%d, %d points", spec.Gamma(), len(spec.Occupancy()))
 	}
 	// Each speculative round is one engine pass, so Refine bounds the
-	// refinement passes (serial bisection of the same rounds would need
-	// up to two passes per round).
+	// refinement passes.
 	if got := spec.EngineStats().Passes; got > 1+3 {
 		t.Fatalf("speculative run took %d passes, bound is %d", got, 1+3)
 	}

@@ -162,7 +162,7 @@ func BenchmarkAblationSweepSequential(b *testing.B) {
 	grid := core.LogGrid(3600, s.Duration(), 6)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Sweep(context.Background(), s, grid, core.Options{Workers: 1}); err != nil {
+		if _, err := occupancyCurve(s, grid, core.Options{Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -173,7 +173,7 @@ func BenchmarkAblationSweepParallel(b *testing.B) {
 	grid := core.LogGrid(3600, s.Duration(), 6)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Sweep(context.Background(), s, grid, core.Options{}); err != nil {
+		if _, err := occupancyCurve(s, grid, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -187,7 +187,7 @@ func BenchmarkAblationMKExact(b *testing.B) {
 	grid := core.LogGrid(3600, s.Duration(), 6)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Sweep(context.Background(), s, grid, core.Options{}); err != nil {
+		if _, err := occupancyCurve(s, grid, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -198,7 +198,7 @@ func BenchmarkAblationMKHistogram(b *testing.B) {
 	grid := core.LogGrid(3600, s.Duration(), 6)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Sweep(context.Background(), s, grid, core.Options{HistogramBins: 2048}); err != nil {
+		if _, err := occupancyCurve(s, grid, core.Options{HistogramBins: 2048}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -307,7 +307,7 @@ func BenchmarkMultiSweepSeparateWrappers(b *testing.B) {
 	grid := core.LogGrid(3600, s.Duration(), 6)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Sweep(context.Background(), s, grid, core.Options{}); err != nil {
+		if _, err := occupancyCurve(s, grid, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 		for _, obs := range []sweep.Observer{classic.NewObserver(), validate.NewTransitionLossObserver(), validate.NewElongationObserver()} {
@@ -340,19 +340,12 @@ func benchSweepLanes(b *testing.B, width int) {
 func BenchmarkSweepLanes4(b *testing.B) { benchSweepLanes(b, 4) }
 func BenchmarkSweepLanes8(b *testing.B) { benchSweepLanes(b, 8) }
 
-// BenchmarkScaleSearchSpeculative vs BenchmarkScaleSearchSerial:
-// speculative bracket bisection (both half-midpoints of the bracket
-// staged into one engine request) against serial bisection (one
-// midpoint per pass). Both sweep the identical ∆ sequence and return
-// bit-identical Results — the core equivalence suite pins that — so
-// the delta is the halved number of refinement passes. CI pairs the
-// two: speculation may never cost more than serial.
-func benchScaleSearch(b *testing.B, speculate bool) {
+// BenchmarkScaleSearchSpeculative: speculative bracket bisection, both
+// half-midpoints of the bracket staged into one engine pass per round,
+// Refine=6 rounds over an 8-point grid.
+func BenchmarkScaleSearchSpeculative(b *testing.B) {
 	s := irvineStream(b)
-	opt := core.Options{
-		Grid: core.LogGrid(3600, s.Duration(), 8), Refine: 6,
-		Bisect: !speculate, Speculate: speculate,
-	}
+	opt := core.Options{Grid: core.LogGrid(3600, s.Duration(), 8), Refine: 6, Speculate: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.SaturationScale(context.Background(), s, opt); err != nil {
@@ -360,9 +353,6 @@ func benchScaleSearch(b *testing.B, speculate bool) {
 		}
 	}
 }
-
-func BenchmarkScaleSearchSerial(b *testing.B)      { benchScaleSearch(b, false) }
-func BenchmarkScaleSearchSpeculative(b *testing.B) { benchScaleSearch(b, true) }
 
 // BenchmarkStreamingTrips: the streaming raw-stream trip pipeline
 // feeding the Section 8 validation observers (per-destination runs
@@ -582,10 +572,11 @@ func BenchmarkEngineMinimalTripsPrebuilt(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := SeriesCSR(g)
+	c := temporal.SeriesCSR(g)
+	cfg := temporal.Config{N: g.N}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		occ := CSROccupancies(c, g.N, false)
+		occ := temporal.OccupanciesCSR(cfg, c)
 		if len(occ) == 0 {
 			b.Fatal("no trips")
 		}

@@ -25,9 +25,15 @@ func AnalyzeReference(s *linkstream.Stream, cfg Config, search core.Options, opt
 	ctx := context.Background()
 	scale := func(s *linkstream.Stream, grid []int64) (core.Result, error) {
 		search.Grid = grid
-		return core.SaturationScaleWith(ctx, search, func(grid []int64, obs sweep.Observer) error {
-			return sweep.Run(ctx, s, grid, opt, obs)
-		})
+		sc, err := core.NewScaleSearch(search)
+		if err != nil {
+			return core.Result{}, err
+		}
+		scope := &core.Scope{Search: sc}
+		if err := core.RunScopes(ctx, s, opt, []*core.Scope{scope}); err != nil {
+			return core.Result{}, err
+		}
+		return scope.Result, nil
 	}
 	segs, twoMode, err := Segments(s, cfg)
 	if err != nil {
@@ -288,7 +294,7 @@ func TestAnalyzeWithGlobalObservers(t *testing.T) {
 
 // TestAnalyzeSpeculativeMatchesSerial pins the fused speculative path:
 // batching both half-midpoints of every active search into one
-// fused pass per round returns exactly the serial bisection's
+// fused pass per round returns exactly the per-scope reference's
 // analysis (the reference drives the same speculative searches one
 // stream at a time), for every lane width.
 func TestAnalyzeSpeculativeMatchesSerial(t *testing.T) {

@@ -61,7 +61,7 @@ func Bind(fs *flag.FlagSet, d Defaults) *Flags {
 	BindEngine(fs, &f.Workers, &f.MaxInFlight)
 	BindLaneWidth(fs, &f.LaneWidth)
 	fs.BoolVar(&f.Speculate, "speculate", false,
-		"speculative bracket bisection: sweep both refinement half-midpoints per engine pass (same result, fewer passes)")
+		"switch the one-shot refinement to speculative bracket bisection: up to -refine rounds, both bracket half-midpoints per engine pass (sweeps a different ∆ set, so γ can differ)")
 	fs.BoolVar(&f.EngineStats, "engine-stats", false,
 		"print the engine's instrumentation after the run (period CSR builds, dedup hits, stream enumerations, peak resident periods, arena reuse)")
 	return f

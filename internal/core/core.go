@@ -45,8 +45,9 @@ type Options struct {
 	// DefaultGrid(stream, DefaultGridPoints).
 	Grid []int64
 	// Refine, when positive, adds that many extra grid points between
-	// the neighbours of the best ∆ of each pass and re-sweeps once,
-	// sharpening γ beyond the grid resolution.
+	// the neighbours of the best ∆ of the first pass and re-sweeps once,
+	// sharpening γ beyond the grid resolution. With Speculate it bounds
+	// the bracket-bisection rounds instead.
 	Refine int
 	// HistogramBins, when positive, scores with a fixed-bin histogram
 	// instead of the exact sample. Only the M-K selectors support this
@@ -63,18 +64,11 @@ type Options struct {
 	// relax pass. Every width produces bit-identical results; see
 	// sweep.Options.LaneWidth.
 	LaneWidth int
-	// Bisect replaces the one-shot refinement pass with a bracket
-	// bisection around the running maximum: each round sweeps the
-	// geometric half-midpoints of the bracket enclosing the best ∆ and
-	// narrows onto the new maximum. Refine bounds the number of
-	// bisection rounds instead of the extra-point count. The default
-	// (false) keeps the paper's sweep-then-refine shape.
-	Bisect bool
-	// Speculate (implies Bisect) stages both candidate half-midpoints
-	// of the current bracket in a single sweep request, so one engine
-	// pass prices the round that serial bisection needs two passes for.
-	// The ∆ sequence swept — and therefore the Result — is identical to
-	// serial bisection's; only the pass batching differs.
+	// Speculate switches the refinement from the one-shot pass to a
+	// bracket bisection around the running maximum: each of up to
+	// Refine rounds sweeps both geometric half-midpoints of the bracket
+	// enclosing the best ∆ in one engine pass. It sweeps a different ∆
+	// set than the one-shot pass, so it can select a different γ.
 	Speculate bool
 }
 
@@ -287,41 +281,6 @@ func (o *OccupancyObserver) ObservePeriod(p *sweep.Period) error {
 // returns without error.
 func (o *OccupancyObserver) Points() []SweepPoint { return o.points }
 
-// Sweep scores every candidate period in grid with every selector in
-// opt.Selectors. Points are returned in grid order.
-//
-// Sweep is a thin wrapper over the unified sweep engine: one
-// OccupancyObserver registered with sweep.Run. The engine sorts and
-// canonicalises the event buffer once, builds each period's CSR arena
-// exactly once, schedules (period, destination-block) work items on one
-// shared worker pool, and keeps at most opt.MaxInFlight periods
-// resident — each period is built, swept, scored and freed before the
-// grid moves on.
-func Sweep(ctx context.Context, s *linkstream.Stream, grid []int64, opt Options) ([]SweepPoint, error) {
-	if s.NumEvents() == 0 {
-		return nil, ErrNoEvents
-	}
-	if len(grid) == 0 {
-		return nil, errors.New("core: empty candidate grid")
-	}
-	sels := opt.selectors()
-	if opt.HistogramBins > 0 {
-		if err := validateHistogramSelectors(sels); err != nil {
-			return nil, err
-		}
-	}
-	for _, delta := range grid {
-		if delta <= 0 {
-			return nil, fmt.Errorf("core: non-positive aggregation period %d", delta)
-		}
-	}
-	obs := NewOccupancyObserver(sels)
-	if err := sweep.Run(ctx, s, grid, opt.engineOptions(), obs); err != nil {
-		return nil, err
-	}
-	return obs.Points(), nil
-}
-
 // engineOptions translates the occupancy-method options into the sweep
 // engine's.
 func (o Options) engineOptions() sweep.Options {
@@ -349,9 +308,8 @@ func Best(points []SweepPoint, selIdx int) int {
 
 // SaturationScale runs the occupancy method end to end: sweep the ∆
 // grid, optionally refine around the maximum, and return γ together
-// with the full score curve. It is SaturationScaleWith driven by plain
-// engine passes over the stream; the staged refinement means every
-// distinct ∆ is swept at most once.
+// with the full score curve. It is one scale-search Scope driven by
+// RunScopes over the stream; every distinct ∆ is swept at most once.
 func SaturationScale(ctx context.Context, s *linkstream.Stream, opt Options) (Result, error) {
 	if s.NumEvents() == 0 {
 		return Result{}, ErrNoEvents
@@ -359,9 +317,15 @@ func SaturationScale(ctx context.Context, s *linkstream.Stream, opt Options) (Re
 	if len(opt.Grid) == 0 {
 		opt.Grid = DefaultGrid(s, DefaultGridPoints)
 	}
-	return SaturationScaleWith(ctx, opt, func(grid []int64, obs sweep.Observer) error {
-		return sweep.Run(ctx, s, grid, opt.engineOptions(), obs)
-	})
+	search, err := NewScaleSearch(opt)
+	if err != nil {
+		return Result{}, err
+	}
+	scope := &Scope{Search: search}
+	if err := RunScopes(ctx, s, opt.engineOptions(), []*Scope{scope}); err != nil {
+		return Result{}, err
+	}
+	return scope.Result, nil
 }
 
 // mergePoints merges two sweeps, dropping duplicate deltas and keeping

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/linkstream"
+	"repro/internal/sweep"
 )
 
 // uniformStream builds a small time-uniform network: every pair of n
@@ -86,18 +87,18 @@ func TestOccupancySampleLimits(t *testing.T) {
 
 func TestSweepErrors(t *testing.T) {
 	empty := linkstream.New()
-	if _, err := Sweep(context.Background(), empty, []int64{1}, Options{}); !errors.Is(err, ErrNoEvents) {
+	if _, err := sweepPoints(empty, []int64{1}, Options{}); !errors.Is(err, sweep.ErrNoEvents) {
 		t.Fatalf("empty stream sweep err = %v", err)
 	}
 	s := uniformStream(t, 4, 2, 100, 2)
-	if _, err := Sweep(context.Background(), s, nil, Options{}); err == nil {
+	if _, err := sweepPoints(s, nil, Options{}); err == nil {
 		t.Fatal("empty grid should error")
 	}
 	if _, err := OccupancySample(empty, 5, Options{}); !errors.Is(err, ErrNoEvents) {
 		t.Fatalf("empty stream sample err = %v", err)
 	}
 	// Histogram backend with a non-MK selector is rejected.
-	_, err := Sweep(context.Background(), s, []int64{10}, Options{
+	_, err := sweepPoints(s, []int64{10}, Options{
 		HistogramBins: 64,
 		Selectors:     []dist.Selector{dist.CRESelector{}},
 	})
@@ -153,11 +154,11 @@ func TestSaturationScaleRefine(t *testing.T) {
 func TestHistogramBackendMatchesExact(t *testing.T) {
 	s := uniformStream(t, 6, 3, 5000, 5)
 	grid := LogGrid(1, 5000, 10)
-	exact, err := Sweep(context.Background(), s, grid, Options{Workers: 1})
+	exact, err := sweepPoints(s, grid, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hist, err := Sweep(context.Background(), s, grid, Options{Workers: 1, HistogramBins: 4096})
+	hist, err := sweepPoints(s, grid, Options{Workers: 1, HistogramBins: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestHistogramBackendMatchesExact(t *testing.T) {
 func TestMultiSelectorSweep(t *testing.T) {
 	s := uniformStream(t, 6, 3, 5000, 6)
 	sels := dist.AllSelectors()
-	points, err := Sweep(context.Background(), s, LogGrid(1, 5000, 8), Options{Workers: 1, Selectors: sels})
+	points, err := sweepPoints(s, LogGrid(1, 5000, 8), Options{Workers: 1, Selectors: sels})
 	if err != nil {
 		t.Fatal(err)
 	}

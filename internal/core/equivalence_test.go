@@ -34,7 +34,17 @@ func mixedStream(t testing.TB, n, perPair int, T int64, seed int64) *linkstream.
 	return s
 }
 
-// TestSweepMatchesReference asserts the engine-backed Sweep reproduces
+// sweepPoints scores every period of grid with one OccupancyObserver
+// in one plain sweep.Run pass: the un-refined occupancy curve.
+func sweepPoints(s *linkstream.Stream, grid []int64, opt Options) ([]SweepPoint, error) {
+	obs := NewOccupancyObserver(opt.Selectors)
+	if err := sweep.Run(context.Background(), s, grid, opt.engineOptions(), obs); err != nil {
+		return nil, err
+	}
+	return obs.Points(), nil
+}
+
+// TestSweepMatchesReference asserts the engine's occupancy curve reproduces
 // the seed per-∆ implementation exactly — same trip counts, bit-equal
 // scores for all five selectors — on seeded workloads, directed and
 // undirected, across worker counts and in-flight bounds.
@@ -58,7 +68,7 @@ func TestSweepMatchesReference(t *testing.T) {
 					opt := opt
 					opt.Workers = workers
 					opt.MaxInFlight = inFlight
-					got, err := Sweep(context.Background(), s, grid, opt)
+					got, err := sweepPoints(s, grid, opt)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -108,7 +118,7 @@ func TestSweepHistogramMatchesReference(t *testing.T) {
 	}
 	opt.Workers = 3
 	opt.MaxInFlight = 2
-	got, err := Sweep(context.Background(), s, grid, opt)
+	got, err := sweepPoints(s, grid, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -44,11 +42,11 @@ func TestQuickTimeShiftInvariance(t *testing.T) {
 		shifted.ShiftTime(int64(shiftRaw))
 		grid := LogGrid(1, s.Duration(), 10)
 		opt := Options{Workers: 1}
-		a, err := Sweep(context.Background(), s, grid, opt)
+		a, err := sweepPoints(s, grid, opt)
 		if err != nil {
 			return false
 		}
-		b, err := Sweep(context.Background(), shifted, grid, opt)
+		b, err := sweepPoints(shifted, grid, opt)
 		if err != nil {
 			return false
 		}
@@ -85,11 +83,11 @@ func TestQuickRelabelInvariance(t *testing.T) {
 		}
 		grid := LogGrid(1, s.Duration(), 8)
 		opt := Options{Workers: 1}
-		a, err := Sweep(context.Background(), s, grid, opt)
+		a, err := sweepPoints(s, grid, opt)
 		if err != nil {
 			return false
 		}
-		b, err := Sweep(context.Background(), relabeled, grid, opt)
+		b, err := sweepPoints(relabeled, grid, opt)
 		if err != nil {
 			return false
 		}
@@ -125,11 +123,11 @@ func TestQuickReversalInvariance(t *testing.T) {
 		}
 		grid := LogGrid(1, s.Duration(), 8)
 		opt := Options{Workers: 1}
-		a, err := Sweep(context.Background(), s, grid, opt)
+		a, err := sweepPoints(s, grid, opt)
 		if err != nil {
 			return false
 		}
-		b, err := Sweep(context.Background(), reversed, grid, opt)
+		b, err := sweepPoints(reversed, grid, opt)
 		if err != nil {
 			return false
 		}

@@ -1,12 +1,12 @@
 package core
 
-// This file implements the engine-backed bisection entry points of the
+// This file implements the engine-backed search entry points of the
 // occupancy method: SaturationScale's sweep-then-refine loop factored
 // into a resumable state machine (ScaleSearch) whose engine passes are
-// supplied by the caller. A single search is SaturationScaleWith; many
-// concurrent searches — the plan's global scope and windows, or the
-// adaptive analysis's global and per-segment scopes — run through
-// RunScopes, which batches the requests of each round into one fused
+// supplied by the caller. Every in-process search — SaturationScale's
+// single scope, the plan's global scope and windows, or the adaptive
+// analysis's global and per-segment scopes — runs through RunScopes,
+// which batches the requests of each round into one fused
 // sweep.RunSource pass, so every scope's grid flows through one engine
 // pipeline under the shared MaxInFlight bound. Batched searches whose
 // windows and candidate periods coincide (a homogeneous stream's single
@@ -24,12 +24,7 @@ import (
 	"repro/internal/sweep"
 )
 
-// SweepRunner executes one engine pass: score every period of grid with
-// obs (registering it with sweep.Run, sweep.RunWindowed, or any other
-// scheduler). It is the pluggable sweep of SaturationScaleWith.
-type SweepRunner func(grid []int64, obs sweep.Observer) error
-
-// ScaleSearch is the occupancy method as a resumable bisection: it
+// ScaleSearch is the occupancy method as a resumable search: it
 // emits sweep requests (a candidate grid plus an observer to score it
 // with) and absorbs the scored points until γ is determined, letting a
 // caller interleave or batch the engine passes of many searches.
@@ -38,19 +33,13 @@ type SweepRunner func(grid []int64, obs sweep.Observer) error
 // registers the returned observer over the returned grid; call Absorb.
 // Repeat until Next reports ok == false, then read Result. Each
 // distinct ∆ is swept at most once across all rounds — refinement grids
-// are deduplicated against every ∆ already scored, which the plain
-// SaturationScale never did (its refine pass rebuilt its grid
-// endpoints).
+// are deduplicated against every ∆ already scored.
 //
-// With Options.Bisect the refinement is a bracket bisection: every
-// round stages the two geometric half-midpoints of the bracket around
-// the running maximum, and Options.Refine bounds the rounds. Serial
-// bisection emits the staged midpoints one request at a time;
-// Options.Speculate emits both in one request, halving the engine
-// passes. Both modes recompute the bracket only once the staged pair is
-// fully absorbed, so they sweep identical ∆ sequences and the losing
-// half's points simply stay in the dedup set — speculation changes pass
-// batching, never the Result.
+// Refinement is either one extra pass over Options.Refine points
+// between the neighbours of the first pass's maximum, or, with
+// Options.Speculate, a bracket bisection: each of up to Options.Refine
+// rounds requests both geometric half-midpoints of the bracket around
+// the running maximum in one request.
 type ScaleSearch struct {
 	opt       Options
 	sels      []dist.Selector
@@ -58,10 +47,8 @@ type ScaleSearch struct {
 	points    []SweepPoint
 	cur       *OccupancyObserver
 	curGrid   []int64
-	requested bool    // a NextGrid/Next request is outstanding
-	pending   []int64 // bisection midpoints staged but not yet requested
-	rounds    int     // bisection bracket recomputations remaining
-	refined   bool
+	requested bool // a NextGrid/Next request is outstanding
+	rounds    int  // refinement rounds remaining
 	done      bool
 }
 
@@ -84,8 +71,10 @@ func NewScaleSearch(opt Options) (*ScaleSearch, error) {
 		}
 	}
 	sc := &ScaleSearch{opt: opt, sels: sels, seen: make(map[int64]bool, len(opt.Grid)), curGrid: opt.Grid}
-	if opt.Bisect || opt.Speculate {
+	if opt.Speculate {
 		sc.rounds = opt.Refine
+	} else if opt.Refine > 0 {
+		sc.rounds = 1
 	}
 	for _, d := range opt.Grid {
 		sc.seen[d] = true
@@ -120,8 +109,8 @@ func (sc *ScaleSearch) NextGrid() (grid []int64, ok bool) {
 }
 
 // Absorb folds the scored points of the last Next request into the
-// search and stages the refinement round when opt.Refine asks for one
-// and the maximum is not yet pinned to grid resolution.
+// search and stages the next refinement round when opt.Refine asks for
+// one and the maximum is not yet pinned to grid resolution.
 func (sc *ScaleSearch) Absorb() error {
 	if sc.cur == nil {
 		return errors.New("core: Absorb without a pending sweep request")
@@ -156,7 +145,7 @@ func (sc *ScaleSearch) AbsorbPoints(pts []SweepPoint) error {
 }
 
 // absorb is the shared fold: merge the scored points and stage the
-// next round (refinement or bisection) or finish.
+// next refinement round or finish.
 func (sc *ScaleSearch) absorb(pts []SweepPoint) error {
 	sc.curGrid, sc.requested = nil, false
 	if sc.points == nil {
@@ -164,84 +153,41 @@ func (sc *ScaleSearch) absorb(pts []SweepPoint) error {
 	} else {
 		sc.points = mergePoints(sc.points, pts)
 	}
-	if sc.opt.Bisect || sc.opt.Speculate {
-		sc.stageBisection()
-		return nil
+	if sc.rounds > 0 {
+		sc.rounds--
+		sc.curGrid = sc.refineGrid()
 	}
-	if !sc.refined {
-		sc.refined = true
-		if sc.opt.Refine > 0 && len(sc.points) > 1 {
-			best := Best(sc.points, 0)
-			lo := sc.points[max(0, best-1)].Delta
-			hi := sc.points[min(len(sc.points)-1, best+1)].Delta
-			if hi > lo+1 {
-				var fresh []int64
-				for _, d := range LogGrid(lo, hi, sc.opt.Refine+2) {
-					if !sc.seen[d] {
-						sc.seen[d] = true
-						fresh = append(fresh, d)
-					}
-				}
-				if len(fresh) > 0 {
-					sc.curGrid = fresh
-					return nil
-				}
-			}
-		}
-	}
-	sc.done = true
+	sc.done = len(sc.curGrid) == 0
 	return nil
 }
 
-// stageBisection advances the bracket-bisection refinement: staged
-// midpoints are requested before the bracket is recomputed, so serial
-// and speculative searches sweep the same ∆ sequence.
-func (sc *ScaleSearch) stageBisection() {
-	if len(sc.pending) > 0 {
-		sc.curGrid = sc.pending[:1:1]
-		sc.pending = sc.pending[1:]
-		return
-	}
-	if sc.rounds > 0 {
-		if mids := sc.bracketMids(); len(mids) > 0 {
-			sc.rounds--
-			for _, d := range mids {
-				sc.seen[d] = true
-			}
-			if sc.opt.Speculate {
-				sc.curGrid = mids
-			} else {
-				sc.curGrid = mids[:1:1]
-				sc.pending = mids[1:]
-			}
-			return
-		}
-	}
-	sc.done = true
-}
-
-// bracketMids returns the unseen geometric half-midpoints of the
-// bracket enclosing the current maximum: one candidate in
-// (points[best-1].∆, best∆) and one in (best∆, points[best+1].∆). An
-// empty result means the maximum is pinned to timestamp resolution.
-func (sc *ScaleSearch) bracketMids() []int64 {
+// refineGrid returns the unseen candidates of the next refinement
+// round around the current maximum, marking them seen: the bracket's
+// two geometric half-midpoints under Speculate, otherwise opt.Refine
+// log-spaced points between the maximum's neighbours. An empty result
+// means the maximum is pinned to timestamp resolution.
+func (sc *ScaleSearch) refineGrid() []int64 {
 	if len(sc.points) < 2 {
 		return nil
 	}
 	best := Best(sc.points, 0)
+	lo := sc.points[max(0, best-1)].Delta
 	b := sc.points[best].Delta
-	var mids []int64
-	if best > 0 {
-		if m := geoMid(sc.points[best-1].Delta, b); !sc.seen[m] {
-			mids = append(mids, m)
+	hi := sc.points[min(len(sc.points)-1, best+1)].Delta
+	var cands []int64
+	if sc.opt.Speculate {
+		cands = []int64{geoMid(lo, b), geoMid(b, hi)}
+	} else {
+		cands = LogGrid(lo, hi, sc.opt.Refine+2)
+	}
+	var fresh []int64
+	for _, d := range cands {
+		if !sc.seen[d] {
+			sc.seen[d] = true
+			fresh = append(fresh, d)
 		}
 	}
-	if best < len(sc.points)-1 {
-		if m := geoMid(b, sc.points[best+1].Delta); !sc.seen[m] {
-			mids = append(mids, m)
-		}
-	}
-	return mids
+	return fresh
 }
 
 // geoMid returns the geometric midpoint of (a, b), clamped inside the
@@ -279,34 +225,6 @@ func (sc *ScaleSearch) Result() (Result, error) {
 	}, nil
 }
 
-// SaturationScaleWith runs the occupancy method's bisection through a
-// caller-supplied engine pass: every grid the search stages is handed
-// to run together with the observer that scores it. SaturationScale is
-// SaturationScaleWith over a plain sweep.Run; callers fusing several
-// analyses into shared engine passes use RunScopes instead.
-func SaturationScaleWith(ctx context.Context, opt Options, run SweepRunner) (Result, error) {
-	sc, err := NewScaleSearch(opt)
-	if err != nil {
-		return Result{}, err
-	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-		grid, obs, ok := sc.Next()
-		if !ok {
-			break
-		}
-		if err := run(grid, obs); err != nil {
-			return Result{}, err
-		}
-		if err := sc.Absorb(); err != nil {
-			return Result{}, err
-		}
-	}
-	return sc.Result()
-}
-
 // Scope is one analysis scope of a fused run (see RunScopes): a raw-time
 // window with its candidate grid, an optional occupancy scale search
 // and the co-observers that ride the scope's first engine pass.
@@ -327,7 +245,7 @@ type Scope struct {
 	HasResult bool
 }
 
-// RunScopes executes scopes as fused engine passes, one per bisection
+// RunScopes executes scopes as fused engine passes, one per refinement
 // round: round 0 batches every scope (its search's first grid plus its
 // co-observers) and the raw segments, later rounds only the searches
 // still refining. A scope without a search is done after round 0. Each

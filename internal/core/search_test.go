@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-
 	"reflect"
 	"testing"
 
@@ -11,36 +10,62 @@ import (
 	"repro/internal/sweep"
 )
 
-// TestSaturationScaleWithMatchesSaturationScale pins the factoring:
-// driving the bisection through an explicit runner is bit-identical to
-// the end-to-end entry point, with and without refinement.
-func TestSaturationScaleWithMatchesSaturationScale(t *testing.T) {
-	s := mixedStream(t, 7, 2, 3000, 2)
-	for _, refine := range []int{0, 4} {
-		opt := Options{Grid: LogGrid(1, 3000, 10), Refine: refine, Selectors: dist.AllSelectors()}
-		want, err := SaturationScale(context.Background(), s, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := SaturationScaleWith(context.Background(), opt, func(grid []int64, obs sweep.Observer) error {
-			return sweep.Run(context.Background(), s, grid, sweep.Options{}, obs)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("refine=%d:\n got %+v\nwant %+v", refine, got, want)
-		}
+// runSearch drives one scale search over s through RunScopes, as
+// SaturationScale does, and returns its result with the run's engine
+// counters accumulated over every pass.
+func runSearch(t *testing.T, s *linkstream.Stream, opt Options) (Result, sweep.RunStats) {
+	t.Helper()
+	search, err := NewScaleSearch(opt)
+	if err != nil {
+		t.Fatal(err)
 	}
+	var st sweep.RunStats
+	eng := opt.engineOptions()
+	eng.Stats = &st
+	scope := &Scope{Search: search}
+	if err := RunScopes(context.Background(), s, eng, []*Scope{scope}); err != nil {
+		t.Fatal(err)
+	}
+	return scope.Result, st
 }
 
-// statsRunner is SaturationScale's engine pass over s with every
-// pass's counters accumulated into st.
-func statsRunner(s *linkstream.Stream, opt Options, st *sweep.RunStats) SweepRunner {
-	eng := opt.engineOptions()
-	eng.Stats = st
-	return func(grid []int64, obs sweep.Observer) error {
-		return sweep.Run(context.Background(), s, grid, eng, obs)
+// TestSaturationScaleMatchesProtocolLoop pins SaturationScale's
+// RunScopes drive against the bare Next/sweep.Run/Absorb protocol
+// loop: bit-identical Results with and without refinement, for both
+// refinement modes.
+func TestSaturationScaleMatchesProtocolLoop(t *testing.T) {
+	s := mixedStream(t, 7, 2, 3000, 2)
+	for _, speculate := range []bool{false, true} {
+		for _, refine := range []int{0, 4} {
+			opt := Options{Grid: LogGrid(1, 3000, 10), Refine: refine, Speculate: speculate, Selectors: dist.AllSelectors()}
+			want, err := SaturationScale(context.Background(), s, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc, err := NewScaleSearch(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for {
+				grid, obs, ok := sc.Next()
+				if !ok {
+					break
+				}
+				if err := sweep.Run(context.Background(), s, grid, sweep.Options{}, obs); err != nil {
+					t.Fatal(err)
+				}
+				if err := sc.Absorb(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := sc.Result()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("speculate=%v refine=%d:\n got %+v\nwant %+v", speculate, refine, got, want)
+			}
+		}
 	}
 }
 
@@ -50,11 +75,7 @@ func statsRunner(s *linkstream.Stream, opt Options, st *sweep.RunStats) SweepRun
 func TestScaleSearchSweepsEachDeltaOnce(t *testing.T) {
 	s := mixedStream(t, 7, 2, 3000, 3)
 	opt := Options{Grid: LogGrid(1, 3000, 8), Refine: 5}
-	var st sweep.RunStats
-	res, err := SaturationScaleWith(context.Background(), opt, statsRunner(s, opt, &st))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, st := runSearch(t, s, opt)
 	if st.Builds != int64(len(res.Points)) {
 		t.Fatalf("built %d period CSRs for %d distinct scored deltas", st.Builds, len(res.Points))
 	}

@@ -1,87 +1,63 @@
 package core
 
 import (
-	"context"
 	"reflect"
 	"testing"
-
-	"repro/internal/linkstream"
-	"repro/internal/sweep"
 )
 
-// runSearch drives a SaturationScale search over the stream and returns
-// the result plus the number of engine passes it took.
-func runSearch(t *testing.T, s *linkstream.Stream, opt Options) (Result, int) {
-	t.Helper()
-	passes := 0
-	res, err := SaturationScaleWith(context.Background(), opt, func(grid []int64, obs sweep.Observer) error {
-		passes++
-		return sweep.Run(context.Background(), s, grid, sweep.Options{}, obs)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res, passes
-}
-
-// TestSpeculativeMatchesSerialBisection pins the tentpole guarantee of
-// the speculative mode: serial bracket bisection and speculative
-// bisection sweep the same ∆ sequence and return bit-identical Results
-// — speculation only halves the number of engine passes spent on
-// refinement.
-func TestSpeculativeMatchesSerialBisection(t *testing.T) {
+// TestSpeculativeResultMatchesOnePass pins what speculative bisection
+// returns: its curve is exactly one plain engine pass over the ∆ set it
+// swept — no point is scored differently for having been requested in
+// a later round — and γ is that curve's maximum. Each speculative round
+// is one engine pass, so Refine+1 passes bound the whole search.
+func TestSpeculativeResultMatchesOnePass(t *testing.T) {
 	for seed := int64(2); seed <= 5; seed++ {
 		s := mixedStream(t, 7, 2, 3000, seed)
 		for _, refine := range []int{1, 3, 6} {
-			base := Options{Grid: LogGrid(1, 3000, 9), Refine: refine}
-
-			serialOpt := base
-			serialOpt.Bisect = true
-			serial, serialPasses := runSearch(t, s, serialOpt)
-
-			specOpt := base
-			specOpt.Speculate = true
-			spec, specPasses := runSearch(t, s, specOpt)
-
-			if !reflect.DeepEqual(spec, serial) {
-				t.Fatalf("seed=%d refine=%d:\n speculative %+v\n serial      %+v", seed, refine, spec, serial)
+			opt := Options{Grid: LogGrid(1, 3000, 9), Refine: refine, Speculate: true}
+			res, st := runSearch(t, s, opt)
+			swept := make([]int64, len(res.Points))
+			for i, p := range res.Points {
+				swept[i] = p.Delta
 			}
-			if specPasses > serialPasses {
-				t.Fatalf("seed=%d refine=%d: speculative took %d passes, serial %d", seed, refine, specPasses, serialPasses)
+			want, err := sweepPoints(s, swept, opt)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if serialPasses > specPasses && specPasses < 2 {
-				t.Fatalf("seed=%d refine=%d: refinement ran (%d serial passes) but speculation stayed at %d",
-					seed, refine, serialPasses, specPasses)
+			if !reflect.DeepEqual(res.Points, want) {
+				t.Fatalf("seed=%d refine=%d: speculative curve differs from one pass over its ∆ set:\n got %+v\nwant %+v",
+					seed, refine, res.Points, want)
+			}
+			if best := want[Best(want, 0)]; res.Gamma != best.Delta || res.Score != best.Scores[0] {
+				t.Fatalf("seed=%d refine=%d: γ=%d score=%v, curve maximum is ∆=%d score=%v",
+					seed, refine, res.Gamma, res.Score, best.Delta, best.Scores[0])
+			}
+			if st.Passes > int64(refine+1) {
+				t.Fatalf("seed=%d refine=%d: %d engine passes, bound is %d", seed, refine, st.Passes, refine+1)
 			}
 		}
 	}
 }
 
 // TestSpeculativeSweepsEachDeltaOnce extends the builds == points
-// invariant to both bisection modes: every distinct ∆ of the final
-// curve is built exactly once, losing speculative midpoints included.
+// invariant to speculative bisection: every distinct ∆ of the final
+// curve is built exactly once, losing midpoints included.
 func TestSpeculativeSweepsEachDeltaOnce(t *testing.T) {
 	s := mixedStream(t, 7, 2, 3000, 3)
-	for _, speculate := range []bool{false, true} {
-		opt := Options{Grid: LogGrid(1, 3000, 8), Refine: 5, Bisect: true, Speculate: speculate}
-		var st sweep.RunStats
-		res, err := SaturationScaleWith(context.Background(), opt, statsRunner(s, opt, &st))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Builds != int64(len(res.Points)) {
-			t.Fatalf("speculate=%v: built %d period CSRs for %d distinct scored deltas", speculate, st.Builds, len(res.Points))
-		}
-		if len(res.Points) <= len(opt.Grid) {
-			t.Fatalf("speculate=%v: bisection added no points (%d <= %d)", speculate, len(res.Points), len(opt.Grid))
-		}
+	opt := Options{Grid: LogGrid(1, 3000, 8), Refine: 5, Speculate: true}
+	res, st := runSearch(t, s, opt)
+	if st.Builds != int64(len(res.Points)) {
+		t.Fatalf("built %d period CSRs for %d distinct scored deltas", st.Builds, len(res.Points))
+	}
+	if len(res.Points) <= len(opt.Grid) {
+		t.Fatalf("bisection added no points (%d <= %d)", len(res.Points), len(opt.Grid))
 	}
 }
 
-// TestBisectRoundsBounded pins the Refine semantics of bisection mode:
-// each round stages at most two fresh midpoints, so the curve grows by
-// at most 2*Refine points over the initial grid, and Refine=0 disables
-// refinement entirely.
+// TestBisectRoundsBounded pins the Refine semantics of speculative
+// bisection: each round stages at most two fresh midpoints, so the
+// curve grows by at most 2*Refine points over the initial grid, and
+// Refine=0 disables refinement entirely.
 func TestBisectRoundsBounded(t *testing.T) {
 	s := mixedStream(t, 7, 2, 3000, 6)
 	grid := LogGrid(1, 3000, 9)

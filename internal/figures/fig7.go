@@ -2,13 +2,13 @@ package figures
 
 import (
 	"context"
-
 	"fmt"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/dist"
+	"repro/internal/sweep"
 	"repro/internal/textplot"
 )
 
@@ -41,10 +41,11 @@ func Fig7(p Profile) (*Fig7Result, error) {
 	s = p.prepare(s)
 	sels := dist.AllSelectors()
 	grid := core.LogGrid(MinDelta, s.Duration(), p.GridPoints)
-	points, err := core.Sweep(context.Background(), s, grid, core.Options{Workers: p.Workers, MaxInFlight: p.MaxInFlight, Selectors: sels})
-	if err != nil {
+	occ := core.NewOccupancyObserver(sels)
+	if err := sweep.Run(context.Background(), s, grid, sweep.Options{Workers: p.Workers, MaxInFlight: p.MaxInFlight}, occ); err != nil {
 		return nil, err
 	}
+	points := occ.Points()
 	res := &Fig7Result{Points: points}
 	markers := []rune{'m', 's', 'v', 'e', 'c'}
 	for i, sel := range sels {

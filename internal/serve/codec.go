@@ -216,12 +216,15 @@ func strictUnmarshal(data []byte, v any) error {
 
 // resultKey is the canonical identity of a spec's results: everything
 // that changes what the engine computes. Execution knobs — Workers,
-// MaxInFlight, LaneWidth, Speculate, ElongationSpill — are absent by
-// design: the engine pins results bit-identical across all of them
-// (the lane-width, speculation and spill equivalence suites), so two
-// submits differing only there share one cache entry. Metrics are
-// sorted and defaulted (nil means occupancy); Selectors keep their
-// order, because the first selector decides the saturation scale.
+// MaxInFlight, LaneWidth, ElongationSpill — are absent by design: the
+// engine pins results bit-identical across all of them (the lane-width,
+// in-flight and spill equivalence suites), so two submits differing
+// only there share one cache entry. Speculate is part of the identity
+// whenever Refine > 0, because it swaps the one-shot refinement for
+// bracket bisection, which sweeps a different ∆ set; without Refine it
+// changes nothing and is dropped. Metrics are sorted and defaulted (nil
+// means occupancy); Selectors keep their order, because the first
+// selector decides the saturation scale.
 type resultKey struct {
 	Stream        string              `json:"stream"`
 	Directed      bool                `json:"directed"`
@@ -231,6 +234,7 @@ type resultKey struct {
 	GridPoints    int                 `json:"grid_points,omitempty"`
 	MinDelta      int64               `json:"min_delta,omitempty"`
 	Refine        int                 `json:"refine,omitempty"`
+	Speculate     bool                `json:"speculate,omitempty"`
 	HistogramBins int                 `json:"histogram_bins,omitempty"`
 	Windows       []repro.Window      `json:"windows,omitempty"`
 	WindowsOnly   bool                `json:"windows_only,omitempty"`
@@ -258,6 +262,7 @@ func SpecKey(spec *repro.PlanSpec, streamID string) (string, error) {
 		GridPoints:    spec.GridPoints,
 		MinDelta:      spec.MinDelta,
 		Refine:        spec.Refine,
+		Speculate:     spec.Speculate && spec.Refine > 0,
 		HistogramBins: spec.HistogramBins,
 		Windows:       spec.Windows,
 		WindowsOnly:   spec.WindowsOnly,

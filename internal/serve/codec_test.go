@@ -147,7 +147,6 @@ func TestSpecKeyIgnoresExecutionKnobs(t *testing.T) {
 	variant.Workers = 11
 	variant.MaxInFlight = 7
 	variant.LaneWidth = 4
-	variant.Speculate = false
 	variant.ElongationSpill = 0
 	got, err := SpecKey(variant, "columnar:abc")
 	if err != nil {
@@ -175,6 +174,7 @@ func TestSpecKeySensitivity(t *testing.T) {
 		"grid":      func(s *repro.PlanSpec) string { s.Grid = []int64{60}; return "columnar:abc" },
 		"min delta": func(s *repro.PlanSpec) string { s.MinDelta = 31; return "columnar:abc" },
 		"refine":    func(s *repro.PlanSpec) string { s.Refine = 5; return "columnar:abc" },
+		"speculate": func(s *repro.PlanSpec) string { s.Speculate = false; return "columnar:abc" },
 		"windows":   func(s *repro.PlanSpec) string { s.Windows = s.Windows[:1]; return "columnar:abc" },
 		"adaptive":  func(s *repro.PlanSpec) string { s.Adaptive = nil; return "columnar:abc" },
 	}
@@ -188,6 +188,22 @@ func TestSpecKeySensitivity(t *testing.T) {
 		if got == baseKey {
 			t.Fatalf("mutating %s did not change the result key", name)
 		}
+	}
+	// Without refinement Speculate changes nothing, so it must not split
+	// the cache.
+	plain, spec := fullSpec(), fullSpec()
+	plain.Refine, spec.Refine = 0, 0
+	plain.Speculate = false
+	kp, err := SpecKey(plain, "columnar:abc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ks, err := SpecKey(spec, "columnar:abc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kp != ks {
+		t.Fatal("Speculate changed the result key of a Refine=0 spec")
 	}
 }
 

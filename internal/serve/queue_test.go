@@ -209,6 +209,59 @@ func TestQueueCacheHitAfterCompletion(t *testing.T) {
 	}
 }
 
+// TestQueueSpeculateMissesOneShotCache pins Speculate as part of the
+// result identity: after a refined spec completes, the same spec with
+// speculation must run on its own and report the speculative γ and
+// curve, not the cached one-shot report.
+func TestQueueSpeculateMissesOneShotCache(t *testing.T) {
+	q := NewQueue(QueueConfig{})
+	defer q.Close()
+	submit := func(speculate bool) (*Job, []byte) {
+		t.Helper()
+		spec := smallSpec(t, 5)
+		spec.GridPoints, spec.Refine, spec.Speculate = 10, 3, speculate
+		job, err := q.Submit(context.Background(), spec, SubmitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := job.Wait(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := EncodeReport(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := spec.NewPlan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		local, err := plan.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := EncodeReport(local)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("speculate=%v: served report differs from the spec's own local run", speculate)
+		}
+		return job, got
+	}
+	_, oneShot := submit(false)
+	job, spec := submit(true)
+	if job.CacheHit {
+		t.Fatal("speculative submit was answered from the one-shot cache entry")
+	}
+	if string(spec) == string(oneShot) {
+		t.Fatal("speculative and one-shot reports coincide; the workload does not separate the two modes")
+	}
+	if st := q.Stats(); st.CacheHits != 0 || st.RunCount != 2 {
+		t.Fatalf("stats = %+v, want CacheHits 0, RunCount 2", st)
+	}
+}
+
 // TestQueueAttachedDisconnectCancels pins the disconnect path: an
 // attached submit whose client goes away mid-run gets its run
 // cancelled, leaks no goroutines and recycles every pooled buffer.

@@ -246,7 +246,8 @@ func WithMinDelta(lo int64) Option {
 
 // WithRefine adds extra grid points between the neighbours of the best
 // period found by the occupancy sweep and re-sweeps once, sharpening
-// the saturation scale beyond grid resolution. Each refinement round
+// the saturation scale beyond grid resolution; with WithSpeculate it
+// bounds the bracket-bisection rounds instead. Each refinement round
 // is one more engine pass; every distinct ∆ is swept at most once.
 func WithRefine(extra int) Option {
 	return func(c *planConfig) error {
@@ -271,14 +272,12 @@ func WithLaneWidth(width int) Option {
 	}
 }
 
-// WithSpeculate switches the occupancy refinement to speculative
-// bracket bisection: each refinement round stages both candidate
-// half-midpoints of the bracket around the running maximum in a single
-// engine pass, instead of sweeping one midpoint and waiting for its
-// score before staging the next. WithRefine then bounds bisection
-// rounds rather than extra grid points. The ∆ sequence swept — and
-// therefore the reported scale and curve — is identical to serial
-// bisection's; only the pass batching differs.
+// WithSpeculate switches the occupancy refinement from the one-shot
+// pass to speculative bracket bisection: each of up to WithRefine
+// rounds sweeps both half-midpoints of the bracket around the running
+// maximum in a single engine pass. The two modes sweep different
+// ∆ sets, so with WithRefine > 0 the reported scale and curve can
+// differ; without refinement the option changes nothing.
 func WithSpeculate(speculate bool) Option {
 	return func(c *planConfig) error {
 		c.speculate = speculate

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/figures"
 	"repro/internal/synth"
+	"repro/internal/temporal"
 )
 
 // End-to-end integration: generate a workload, run the full pipeline
@@ -92,13 +93,17 @@ func TestStreamMinimalTripsFacade(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	trips := StreamMinimalTrips(s, false)
+	streamTrips := func(directed bool) []Trip {
+		cfg := temporal.Config{N: s.NumNodes(), Directed: directed}
+		return temporal.CollectTripsCSR(cfg, temporal.StreamCSR(s, directed))
+	}
+	trips := streamTrips(false)
 	// a->b, b->a, b->c, c->b single links plus the a->c relay (c->a is
 	// impossible: b->a would have to happen after t = 2).
 	if len(trips) != 5 {
 		t.Fatalf("trips = %d (%v), want 5", len(trips), trips)
 	}
-	directed := StreamMinimalTrips(s, true)
+	directed := streamTrips(true)
 	if len(directed) != 3 { // a->b, b->c, a->c
 		t.Fatalf("directed trips = %d (%v), want 3", len(directed), directed)
 	}
@@ -148,7 +153,8 @@ func TestForwardQueriesFacade(t *testing.T) {
 	if arr[d] != 2 || hops[d] != 3 {
 		t.Fatalf("series arr[d]=%d hops=%d, want 2,3", arr[d], hops[d])
 	}
-	sArr, sHops := StreamEarliestArrivals(s, a, 0, false)
+	cfg := temporal.Config{N: s.NumNodes()}
+	sArr, sHops := temporal.EarliestArrivalsCSR(cfg, temporal.StreamCSR(s, false), a, 0)
 	if sArr[d] != 20 || sHops[d] != 3 {
 		t.Fatalf("stream arr[d]=%d hops=%d, want 20,3", sArr[d], sHops[d])
 	}

@@ -198,14 +198,14 @@
 // equivalence suites pin every width to the reference sweep bit for
 // bit.
 //
-// WithSpeculate turns on speculative bracket bisection for scale
-// searches. Serial bisection sweeps one bracket midpoint per engine
-// pass; speculation stages both half-midpoints of the current bracket
-// into a single fused pass, halving refinement passes while sweeping
-// the identical ∆ sequence (one of the two sweeps is discarded).
-// WithRefine bounds bisection rounds either way. Adaptive plans fuse
-// the speculative grids of the global and every per-segment search
-// into one windowed pass per round.
+// WithSpeculate is not a speed knob: it switches the one-shot
+// refinement pass (WithRefine extra points between the neighbours of
+// the grid maximum) to bracket bisection, where each of up to
+// WithRefine rounds sweeps both half-midpoints of the bracket around
+// the running maximum in one fused pass. The two modes sweep different
+// ∆ sets and can report different scales, so a served result is keyed
+// on it. Adaptive plans fuse the speculative grids of the global and
+// every per-segment search into one windowed pass per round.
 //
 // Per-period layer arenas are pooled automatically, size-classed by
 // (nodes, events) powers of two, shelf-capped and idle-evicted so a
@@ -227,8 +227,6 @@
 package repro
 
 import (
-	"context"
-
 	"repro/internal/adaptive"
 	"repro/internal/classic"
 	"repro/internal/core"
@@ -289,37 +287,6 @@ func Aggregate(s *Stream, delta int64, directed bool) (*Series, error) {
 func MinimalTrips(g *Series) []Trip {
 	cfg := temporal.Config{N: g.N, Directed: g.Directed}
 	return temporal.CollectTripsCSR(cfg, temporal.SeriesCSR(g))
-}
-
-// StreamMinimalTrips enumerates all minimal trips of the raw stream
-// (layer per distinct timestamp).
-func StreamMinimalTrips(s *Stream, directed bool) []Trip {
-	cfg := temporal.Config{N: s.NumNodes(), Directed: directed}
-	return temporal.CollectTripsCSR(cfg, temporal.StreamCSR(s, directed))
-}
-
-// LayeredCSR is the flat arena representation the temporal engine runs
-// on: one contiguous endpoint array plus per-layer offsets. Build one
-// with SeriesCSR or StreamCSR to amortise conversion across repeated
-// queries on the same layered graph.
-type LayeredCSR = temporal.CSR
-
-// SeriesCSR builds the engine arena of an aggregated series.
-func SeriesCSR(g *Series) *LayeredCSR { return temporal.SeriesCSR(g) }
-
-// StreamCSR builds the engine arena of the raw stream (one layer per
-// distinct timestamp, canonicalised unless directed).
-func StreamCSR(s *Stream, directed bool) *LayeredCSR { return temporal.StreamCSR(s, directed) }
-
-// CSRMinimalTrips enumerates all minimal trips of a prebuilt arena.
-func CSRMinimalTrips(c *LayeredCSR, n int, directed bool) []Trip {
-	return temporal.CollectTripsCSR(temporal.Config{N: n, Directed: directed}, c)
-}
-
-// CSROccupancies returns the occupancy rates of all minimal trips of a
-// prebuilt arena.
-func CSROccupancies(c *LayeredCSR, n int, directed bool) []float64 {
-	return temporal.OccupanciesCSR(temporal.Config{N: n, Directed: directed}, c)
 }
 
 // DefaultGridPoints is the number of candidate periods a derived
@@ -398,25 +365,6 @@ type SweepShardedTripObserver = sweep.ShardedTripObserver
 // selects the whole stream.
 type SegmentObserver = sweep.SegmentObserver
 
-// SweepRunner executes one engine pass for SaturationScaleWith: score
-// every period of grid with obs.
-type SweepRunner = core.SweepRunner
-
-// ScaleSearch is the occupancy method as a resumable bisection,
-// letting a caller batch the engine passes of many concurrent searches
-// (see core.ScaleSearch for the protocol).
-type ScaleSearch = core.ScaleSearch
-
-// NewScaleSearch stages a scale search over opt.Grid.
-func NewScaleSearch(opt Options) (*ScaleSearch, error) { return core.NewScaleSearch(opt) }
-
-// SaturationScaleWith runs the occupancy method's sweep-then-refine
-// bisection through a caller-supplied engine pass. Callers that do not
-// need a custom runner should build a Plan instead (NewAnalysis).
-func SaturationScaleWith(opt Options, run SweepRunner) (Result, error) {
-	return core.SaturationScaleWith(context.Background(), opt, run)
-}
-
 // OccupancyObserver scores per-period occupancy distributions (the
 // occupancy method) inside a plan's engine pass (WithObservers).
 type OccupancyObserver = core.OccupancyObserver
@@ -468,13 +416,6 @@ func NewDistanceObserver() *DistanceObserver { return sweep.NewDistanceObserver(
 func EarliestArrivals(g *Series, src int32, startWindow int64) (arr []int64, hops []int32) {
 	cfg := temporal.Config{N: g.N, Directed: g.Directed}
 	return temporal.EarliestArrivalsCSR(cfg, temporal.SeriesCSR(g), src, startWindow)
-}
-
-// StreamEarliestArrivals answers the forward query on the raw stream,
-// with raw timestamps.
-func StreamEarliestArrivals(s *Stream, src int32, startTime int64, directed bool) (arr []int64, hops []int32) {
-	cfg := temporal.Config{N: s.NumNodes(), Directed: directed}
-	return temporal.EarliestArrivalsCSR(cfg, temporal.StreamCSR(s, directed), src, startTime)
 }
 
 // ReachablePairs counts the ordered pairs (u, v) connected by at least

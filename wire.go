@@ -66,9 +66,12 @@ type AdaptiveSpec struct {
 // value plus a stream reference is the paper's default analysis, like
 // option-less NewAnalysis; every field maps onto exactly one
 // functional option (see Options). Fields that do not alter results —
-// Workers, MaxInFlight, LaneWidth, Speculate, ElongationSpill — are
-// execution hints: the engine pins results bit-identical across them,
-// which is what lets a server cache results without keying on them.
+// Workers, MaxInFlight, LaneWidth, ElongationSpill — are execution
+// hints: the engine pins results bit-identical across them, which is
+// what lets a server cache results without keying on them. Speculate
+// is not one of them: with Refine > 0 it swaps the one-shot refinement
+// for bracket bisection (WithSpeculate), which sweeps a different ∆
+// set.
 type PlanSpec struct {
 	// Stream references the stream file; exactly one of Stream and
 	// Inline must be set.
@@ -91,6 +94,7 @@ type PlanSpec struct {
 	GridPoints    int      `json:"grid_points,omitempty"`
 	MinDelta      int64    `json:"min_delta,omitempty"`
 	Refine        int      `json:"refine,omitempty"`
+	Speculate     bool     `json:"speculate,omitempty"`
 	HistogramBins int      `json:"histogram_bins,omitempty"`
 	Windows       []Window `json:"windows,omitempty"`
 	// WindowsOnly drops the global scope (WithWindowsOnly): only the
@@ -103,7 +107,6 @@ type PlanSpec struct {
 	Workers         int   `json:"workers,omitempty"`
 	MaxInFlight     int   `json:"max_inflight,omitempty"`
 	LaneWidth       int   `json:"lane_width,omitempty"`
-	Speculate       bool  `json:"speculate,omitempty"`
 	ElongationSpill int64 `json:"elongation_spill,omitempty"`
 }
 

@@ -459,12 +459,27 @@ func TestQueueTenantBudget(t *testing.T) {
 func TestQueueAdmissionBound(t *testing.T) {
 	q := NewQueue(QueueConfig{MaxJobs: 1, TenantBudget: 1})
 	defer q.Close()
+	// Hold the first run inside its first progress callback until the
+	// over-admission checks are done, so it provably still holds the
+	// only slot when the second submit arrives.
+	reached, resume := make(chan struct{}), make(chan struct{})
+	release := sync.OnceFunc(func() { close(resume) })
+	defer release() // before q.Close, which waits for the held run
+	q.progressGate = sync.OnceFunc(func() {
+		close(reached)
+		<-resume
+	})
 
 	spec := smallSpec(t, 41)
 	spec.Refine = 6
 	job, err := q.Submit(context.Background(), spec, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	select {
+	case <-reached:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("run did not emit progress (state %s)", job.State())
 	}
 	over := smallSpec(t, 43)
 	if _, err := q.Submit(context.Background(), over, SubmitOptions{}); !errors.Is(err, ErrQueueFull) {
@@ -475,6 +490,7 @@ func TestQueueAdmissionBound(t *testing.T) {
 	}
 	// The bound is on unfinished runs: once the first completes, the
 	// slot frees.
+	release()
 	if _, err := job.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -9,13 +9,16 @@ package temporal
 // interleave (a pooled buffer of the wrong size helps nobody); the
 // arena pool instead shelves complete backing-array sets by a
 // (nodes, events) size class, so consecutive periods of similar
-// magnitude reuse one contiguous arena — including the reciprocal
-// table, the single largest allocation of stream-keyed periods. The
-// pool is deliberately not a sync.Pool: shelves are evicted
-// deterministically once their class goes idle, so one huge period
-// followed by thousands of tiny ones cannot pin the huge class's
-// memory for the rest of the process (the GC of sync.Pool offers no
-// such bound within a run).
+// magnitude reuse one contiguous arena. The reciprocal table, the
+// single largest allocation of stream-keyed periods, is not per arena:
+// its entries do not depend on the period, so the pool keeps one table
+// that every arena-backed CSR reads a prefix of (sharedRecip) — one
+// copy instead of one per in-flight period. The pool is deliberately
+// not a sync.Pool: shelves, and the shared table, are evicted
+// deterministically once they go idle, so one huge period followed by
+// thousands of tiny ones cannot pin the huge class's memory for the
+// rest of the process (the GC of sync.Pool offers no such bound within
+// a run).
 
 import (
 	"math/bits"
@@ -45,10 +48,9 @@ func arenaClassFor(nodes, events int) arenaClass {
 // csrArena is one recyclable set of CSR backing arrays. The arrays keep
 // their capacity across uses; lengths are re-derived by each build.
 type csrArena struct {
-	keys  []int64
-	off   []int
-	ends  []int32
-	recip []float64
+	keys []int64
+	off  []int
+	ends []int32
 }
 
 const (
@@ -73,6 +75,13 @@ var (
 	arenaMu      sync.Mutex
 	arenaShelves map[arenaClass]*arenaShelf
 	arenaGen     uint64
+	// arenaRecip is the shared reciprocal table. It lives as long as
+	// the shelf of arenaRecipClass, the class of the last period that
+	// needed more than half of it — as long as a per-arena table of
+	// that class would — so short spans served from its prefix cannot
+	// pin a table only an idle class needed.
+	arenaRecip      []float64
+	arenaRecipClass arenaClass
 )
 
 // Arena accounting, mirroring the trip-lane counters: arenasHanded
@@ -141,18 +150,38 @@ func putArena(class arenaClass, a *csrArena) {
 	for c, s := range arenaShelves {
 		if arenaGen-s.last > arenaEvictAfter {
 			delete(arenaShelves, c)
+			if c == arenaRecipClass {
+				arenaRecip = nil
+			}
 		}
 	}
 }
 
+// sharedRecip returns the pool's reciprocal table cut to span+1
+// entries for a CSR of the class, first replacing it with a longer one
+// if it is too short. Tables are never written after they are built,
+// so CSRs still reading a replaced or evicted table are unaffected.
+func sharedRecip(span int64, class arenaClass) []float64 {
+	arenaMu.Lock()
+	defer arenaMu.Unlock()
+	if int64(len(arenaRecip)) <= span {
+		arenaRecip = newRecip(span + 1)
+	}
+	if 2*(span+1) > int64(len(arenaRecip)) {
+		arenaRecipClass = class
+	}
+	return arenaRecip[:span+1]
+}
+
 // BuildCSRArena is BuildCSR backed by the size-classed arena pool: the
-// returned CSR's Keys/Off/Ends arrays (and its lazily built reciprocal
-// table) live in an arena of the (nodes, events) class, reused from a
-// previous period of similar size when one is shelved. The caller owns
-// the CSR until it hands it back with RecycleCSR — which it must do on
-// every exit path, including cancellation, or the arena accounting
-// (ArenaStats) reports the leak. nodes is the run's node count; events,
-// t0, delta and scratch are exactly BuildCSR's.
+// returned CSR's Keys/Off/Ends arrays live in an arena of the
+// (nodes, events) class, reused from a previous period of similar size
+// when one is shelved, and its reciprocal table is the pool's shared
+// one. The caller owns the CSR until it hands it back with RecycleCSR
+// — which it must do on every exit path, including cancellation, or
+// the arena accounting (ArenaStats) reports the leak. nodes is the
+// run's node count; events, t0, delta and scratch are exactly
+// BuildCSR's.
 func BuildCSRArena(events []linkstream.Event, t0, delta int64, nodes int, scratch *CSRScratch) *CSR {
 	if len(events) == 0 {
 		// Nothing to arena: the empty CSR allocates nothing worth
@@ -197,9 +226,6 @@ func RecycleCSR(c *CSR) {
 	a.keys = c.Keys[:0]
 	a.off = c.Off[:0]
 	a.ends = c.Ends[:0]
-	if c.recip != nil {
-		a.recip = c.recip
-	}
 	c.arena = nil
 	c.Keys, c.Off, c.Ends, c.recip = nil, nil, nil, nil
 	putArena(c.class, a)

@@ -111,8 +111,8 @@ func TestRecycleCSRDetachesSlices(t *testing.T) {
 
 // TestArenaRecipReuse checks that the reciprocal table — the largest
 // stream-keyed allocation — survives the recycle round-trip: a second
-// build of the same class finds the previous table's capacity in its
-// arena and recomputes values in place.
+// build of the same class reads the same shared table, with the same
+// values.
 func TestArenaRecipReuse(t *testing.T) {
 	events := arenaEvents(t, 8, 150, 400, 33)
 	var scratch CSRScratch
@@ -187,6 +187,63 @@ func TestArenaEvictionHugeThenTiny(t *testing.T) {
 	RecycleCSR(hc)
 	if handed, recycled, _ := ArenaStats(); handed != 1 || recycled != 1 {
 		t.Fatalf("handed %d recycled %d", handed, recycled)
+	}
+}
+
+// TestArenaRecipShared checks the pool's one reciprocal table: periods
+// in flight at once read the same backing array, a longer key span gets
+// a longer table without disturbing the one still being read, and once
+// the class that needed the long table goes idle and is evicted, short
+// spans of another class no longer pin it.
+func TestArenaRecipShared(t *testing.T) {
+	const n = 8
+	events := arenaEvents(t, n, 150, 400, 37)
+	other := arenaEvents(t, n, 600, 5000, 38)
+	var scratch CSRScratch
+	// Start from no table, so one left by an earlier test cannot decide
+	// which class owns the long one.
+	arenaMu.Lock()
+	arenaRecip = nil
+	arenaMu.Unlock()
+	a := BuildCSRArena(events, events[0].T, 20, n, &scratch)
+	b := BuildCSRArena(events, events[0].T, 20, n, &scratch)
+	ra, rb := a.recipTable(), b.recipTable()
+	if len(ra) == 0 || len(ra) != len(rb) || &ra[0] != &rb[0] {
+		t.Fatal("periods in flight together do not share the reciprocal table")
+	}
+	long := BuildCSRArena(other, other[0].T, 1, n, &scratch)
+	if long.class == a.class {
+		t.Fatalf("workloads collapsed into one class %+v", a.class)
+	}
+	rl := long.recipTable()
+	if len(rl) <= len(ra) {
+		t.Fatalf("delta 1 table has %d entries, delta 20 has %d", len(rl), len(ra))
+	}
+	for _, r := range [][]float64{ra, rl} {
+		for d := range r {
+			if r[d] != 1/float64(d+1) {
+				t.Fatalf("reciprocal %d = %v", d, r[d])
+			}
+		}
+	}
+	RecycleCSR(a)
+	RecycleCSR(b)
+	RecycleCSR(long)
+
+	// The long table outlives its class's activity only until that
+	// class's shelf is evicted.
+	for i := 0; i <= arenaEvictAfter; i++ {
+		c := BuildCSRArena(events, events[0].T, 20, n, &scratch)
+		if r := c.recipTable(); i == 0 && &r[0] != &rl[0] {
+			t.Fatal("a short span did not read the long table's prefix")
+		}
+		RecycleCSR(c)
+	}
+	arenaMu.Lock()
+	held := arenaRecip
+	arenaMu.Unlock()
+	if len(held) > 0 && &held[0] == &rl[0] {
+		t.Fatalf("the long table is still pinned after %d pool operations of another class", 2*(arenaEvictAfter+1))
 	}
 }
 

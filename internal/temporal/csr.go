@@ -60,10 +60,10 @@ func (c *CSR) ArenaReused() bool { return c.reused }
 const maxRecipSpan = 1 << 22
 
 // recipTable returns the 1/duration lookup table, or nil when the key
-// span exceeds maxRecipSpan. Arena-backed CSRs reuse the arena's table
-// buffer when its capacity suffices (the values are recomputed — only
-// the allocation is saved, and for stream-keyed periods it is the
-// single largest one).
+// span exceeds maxRecipSpan. Arena-backed CSRs read a prefix of the
+// arena pool's shared table (sharedRecip): entry d is 1/(d+1) for
+// every CSR, and for stream-keyed periods the table is the single
+// largest allocation, so in-flight periods share one copy.
 func (c *CSR) recipTable() []float64 {
 	c.recipOnce.Do(func() {
 		if len(c.Keys) == 0 {
@@ -73,18 +73,22 @@ func (c *CSR) recipTable() []float64 {
 		if span >= maxRecipSpan {
 			return
 		}
-		var t []float64
-		if a := c.arena; a != nil && int64(cap(a.recip)) > span {
-			t = a.recip[:span+1]
+		if c.arena != nil {
+			c.recip = sharedRecip(span, c.class)
 		} else {
-			t = make([]float64, span+1)
+			c.recip = newRecip(span + 1)
 		}
-		for d := range t {
-			t[d] = 1 / float64(d+1)
-		}
-		c.recip = t
 	})
 	return c.recip
+}
+
+// newRecip builds a reciprocal table of n entries: entry d is 1/(d+1).
+func newRecip(n int64) []float64 {
+	t := make([]float64, n)
+	for d := range t {
+		t[d] = 1 / float64(d+1)
+	}
+	return t
 }
 
 // NumLayers returns the number of (non-empty) layers.

@@ -346,7 +346,10 @@ type ElongationPoint struct {
 // pooled scratch, re-read from the spill shelf if needed), into
 // per-lane partial sums that ObservePeriod folds in lane order —
 // bit-for-bit deterministic for any worker count, any spill cap, and
-// identical to an eager scan of the whole-period trip blocks.
+// identical to an eager scan of the whole-period trip blocks. No trip
+// is scored by a search: the decoded region's slot table finds the
+// trip's source and a per-source cursor, which the lane's
+// departure-descending order only moves left, finds its window.
 type ElongationObserver struct {
 	// SpillBytes caps the arena's resident bytes; beyond the cap
 	// finished regions spill to an unlinked temp file re-read during
@@ -422,7 +425,11 @@ func (o *ElongationObserver) NewTripShard(delta int64, blocks, lanesPerBlock int
 // trips against the stream pair-span arena, accumulating per-lane
 // partials. Each lane holds one destination's trips, so its arena
 // region is decoded once (into pooled scratch, off the spill shelf if
-// it was flushed) and queried for every trip of the lane.
+// it was flushed) and queried for every trip of the lane. A query is a
+// slot-table lookup of the trip's source plus a step of that source's
+// cursor, O(1) amortised because the lane delivers each source's trips
+// departure-descending; trips are scored in lane order, so each lane's
+// floating-point partial sum is the same as with any exact lookup.
 func (s *elongShard) ObserveTripBlock(block int, lanes [][]temporal.Trip) error {
 	ds, _ := s.o.scratch.Get().(*destSpans)
 	if ds == nil {
@@ -448,7 +455,7 @@ func (s *elongShard) ObserveTripBlock(block int, lanes [][]temporal.Trip) error 
 			// belongs to the next window).
 			a := s.o.t0 + tr.Dep*s.delta
 			b := s.o.t0 + (tr.Arr+1)*s.delta - 1
-			durL, ok := ds.minDurationWithin(tr.U, a, b)
+			durL, ok := ds.minDuration(tr.U, a, b)
 			if !ok || durL <= 0 {
 				// Cannot happen for trips spanning >= 2 windows (the
 				// series trip implies a stream trip in the interval and
